@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import InvalidArgument
+from .errors import DegenerateContent, DivisionByZero, InvalidArgument, PoleAtPoint
 from .presentations import (
     algebra_dimension,
     projector_matrices,
@@ -58,6 +58,8 @@ from .tensor import (
 def parse_u_list(spec: str):
     """Comma-separated exact values: integers, fractions, or q-power
     expressions like ``2*q^2``."""
+    if spec is None:
+        raise InvalidArgument("--u is required here")
     return tuple(as_ratfunc(part.strip()) for part in spec.split(","))
 
 
@@ -277,7 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         output, code = args.func(args)
-    except InvalidArgument as exc:
+    except (InvalidArgument, DivisionByZero, PoleAtPoint, DegenerateContent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(output)

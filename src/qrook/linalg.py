@@ -74,6 +74,14 @@ class Mat:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def specialize(self, q0) -> "Mat":
+        """The matrix with every entry evaluated at q = q0 (exact)."""
+        out = Mat(self.n)
+        for i, r in self.rows.items():
+            for j, v in r.items():
+                out.set(i, j, RatFunc.from_fraction(v.specialize(q0)))
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented

@@ -471,6 +471,9 @@ def verify(assignment: dict, relations, q0=None) -> Report:
     if not assignment:
         raise InvalidArgument("empty assignment")
     n = next(iter(assignment.values())).n
+    if q0 is not None:
+        q0 = Fraction(q0)
+        assignment = {name: m.specialize(q0) for name, m in assignment.items()}
     full = _with_inverses(assignment, relations, q0=q0)
     results = []
     for rel in relations:

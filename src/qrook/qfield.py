@@ -7,6 +7,17 @@ coprime over the rationals, jointly content-free, denominator with
 positive leading coefficient.  Equality of field elements is equality of
 representations.  Negative powers of q live in the fraction field
 (q^-1 is stored as 1/q).
+
+Canonicalisation uses integer arithmetic only.  The gcd of numerator and
+denominator (after stripping powers of q and taking primitive parts) is
+first tested for coprimality modulo the prime p = 2^61 - 1: when p
+divides neither leading coefficient, the degree of the gcd over Q is at
+most the degree of the gcd mod p, so degree 0 mod p proves the gcd is 1.
+Most calls end there.  Otherwise, and whenever p divides a leading
+coefficient, the gcd comes from the primitive pseudo-remainder sequence,
+and both parts are divided by it with exact integer long division.
+``Fraction`` appears only in specialisation at a rational q and in
+conversion from rationals (``RatFunc.from_fraction``, ``as_ratfunc``).
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ P_ONE: IntPoly = (1,)
 
 
 def poly_trim(c):
+    if isinstance(c, tuple) and (not c or c[-1]):
+        return c
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
@@ -31,10 +44,12 @@ def poly_trim(c):
 
 
 def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return poly_trim(out)
 
 
 def poly_neg(a):
@@ -54,7 +69,7 @@ def poly_mul(a, b):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return poly_trim(out)
+    return tuple(out) if out[-1] else poly_trim(out)
 
 
 def poly_scale(a, c):
@@ -64,10 +79,7 @@ def poly_scale(a, c):
 
 
 def poly_content(a):
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-    return g
+    return gcd(*a)
 
 
 def poly_valuation(a):
@@ -84,7 +96,8 @@ def poly_shift(a, e):
         return P_ZERO
     if e >= 0:
         return (0,) * e + a
-    assert all(x == 0 for x in a[:-e])
+    if any(a[:-e]):
+        raise InvalidArgument(f"polynomial is not divisible by q^{-e}")
     return a[-e:]
 
 
@@ -95,35 +108,32 @@ def poly_eval(a, x: Fraction) -> Fraction:
     return acc
 
 
-def poly_divmod_q(a, b):
-    """Quotient and remainder over the rationals, as Fraction lists."""
-    r = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lb = Fraction(b[-1])
-    while len(r) >= len(b):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        coeff = r[-1] / lb
-        deg = len(r) - len(b)
-        q[deg] = coeff
-        for i, y in enumerate(b):
-            r[i + deg] -= coeff * y
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
 def poly_divexact(a, b):
-    """Exact division of integer polynomials; the result must be integral."""
+    """Exact division of integer polynomials by integer long division.
+
+    Raises InvalidArgument unless b divides a with an integral quotient."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
     if not a:
         return P_ZERO
-    q, r = poly_divmod_q(a, b)
-    assert not r, "division is not exact"
-    assert all(x.denominator == 1 for x in q), "quotient is not integral"
-    return poly_trim([int(x) for x in q])
+    db = len(b) - 1
+    n = len(a) - db
+    if n <= 0:
+        raise InvalidArgument("division is not exact")
+    lb = b[-1]
+    r = list(a)
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            raise InvalidArgument("division is not exact over the integers")
+        if c:
+            out[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise InvalidArgument("division is not exact")
+    return tuple(out)
 
 
 def poly_primitive(a):
@@ -133,34 +143,95 @@ def poly_primitive(a):
     c = poly_content(a)
     if a[-1] < 0:
         c = -c
+    elif c == 1:
+        return a
     return tuple(x // c for x in a)
 
 
-def poly_gcd(a, b):
-    """Primitive gcd over the rationals (positive leading coefficient)."""
-    if not a:
-        return poly_primitive(b)
-    if not b:
-        return poly_primitive(a)
-    v = min(poly_valuation(a), poly_valuation(b))
-    return _poly_gcd_shifted(a, b, v)
+# A prime for the coprimality certificate; reduction mod 2^61 - 1 keeps
+# every product of two residues within a few machine words.
+GCD_PRIME = (1 << 61) - 1
+
+
+def _gcd_degree_mod_p(a, b):
+    """Degree of gcd(a mod p, b mod p) over GF(p), p = GCD_PRIME.
+
+    Both leading coefficients must be nonzero mod p, so the reductions
+    keep their degrees."""
+    p = GCD_PRIME
+    a = [x % p for x in a]
+    b = [x % p for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        db = len(b) - 1
+        if db == 0:
+            return 0
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]  # monic, so each step cancels exactly
+        r = a
+        for k in range(len(r) - 1, db - 1, -1):
+            c = r[k] % p
+            if c:
+                s = k - db
+                for i in range(db):
+                    r[s + i] -= c * b[i]
+        r = [x % p for x in r[:db]]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return db
+        a, b = b, r
+
+
+def _poly_prem(a, b):
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    while len(r) > db:
+        c = r.pop()
+        r = [x * lb for x in r]
+        s = len(r) - db
+        for i in range(db):
+            r[s + i] -= c * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _poly_gcd_prs(a, b):
+    """Primitive gcd of two nonzero primitive polynomials by the
+    primitive pseudo-remainder sequence (Brown & Traub 1971)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, poly_primitive(_poly_prem(a, b))
+    return a
 
 
 def _poly_gcd_shifted(a, b, v):
-    """gcd of the q-valuation-stripped parts, times q^v."""
+    """gcd of the q-valuation-stripped parts of two nonzero polynomials,
+    times q^v.
+
+    The result is primitive with positive leading coefficient.  Integer
+    arithmetic only.  When p = GCD_PRIME divides neither leading
+    coefficient, the degree of gcd(a, b) mod p is computed first; if it
+    is 0, the gcd over Q is 1.  This is a proof, not a heuristic: the
+    primitive gcd g divides a in Z[q], so lc(g) divides lc(a) and g keeps
+    its degree mod p, where it divides both a and b; hence deg g is at
+    most the degree of the gcd mod p.  Otherwise the gcd comes from the
+    primitive pseudo-remainder sequence.
+    """
     a = poly_primitive(poly_shift(a, -poly_valuation(a)))
     b = poly_primitive(poly_shift(b, -poly_valuation(b)))
-    while b != P_ZERO:
-        _, r = poly_divmod_q(a, b)
-        if not r:
-            a, b = b, P_ZERO
-            break
-        den_lcm = 1
-        for x in r:
-            den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
-        rint = poly_trim([int(x * den_lcm) for x in r])
-        a, b = b, poly_primitive(rint)
-    return poly_shift(poly_primitive(a), v)
+    if len(a) == 1 or len(b) == 1:
+        g = P_ONE
+    elif a[-1] % GCD_PRIME and b[-1] % GCD_PRIME and not _gcd_degree_mod_p(a, b):
+        g = P_ONE
+    else:
+        g = _poly_gcd_prs(a, b)
+    return poly_shift(g, v)
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)(?:\*?q(?:\^(-?\d+))?)?$")
@@ -285,6 +356,8 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
+        if self.den == other.den:
+            return RatFunc(poly_add(self.num, other.num), self.den)
         num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
         return RatFunc(num, poly_mul(self.den, other.den))
 
@@ -304,7 +377,8 @@ class RatFunc:
         if self.is_zero() or other.is_zero():
             return RF_ZERO
         if self.den == P_ONE and other.den == P_ONE:
-            return RatFunc(poly_mul(self.num, other.num), P_ONE)
+            # a product of polynomials over 1 is already canonical
+            return RatFunc(poly_mul(self.num, other.num), P_ONE, _canonical=True)
         return RatFunc(
             poly_mul(self.num, other.num), poly_mul(self.den, other.den)
         )
@@ -376,7 +450,7 @@ def _canonicalize(num, den):
     if v:
         num = poly_shift(num, -v)
         den = poly_shift(den, -v)
-    den_is_monomial = all(c == 0 for c in den[:-1])
+    den_is_monomial = not any(den[:-1])
     if len(den) > 1 and len(num) > 1 and not den_is_monomial:
         g = _poly_gcd_shifted(num, den, 0)
         if len(g) > 1:

@@ -351,10 +351,12 @@ def graph_to_json(g: BratteliGraph):
 
 def parse_multipartition(spec: str):
     """Parse a multipartition spec such as "[[2],[1,1]]"."""
-    data = json.loads(spec)
-    mp = tuple(tuple(p) for p in data)
-    for p in mp:
-        check_partition(p)
+    try:
+        mp = tuple(tuple(p) for p in json.loads(spec))
+        for p in mp:
+            check_partition(p)
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise InvalidArgument(f"bad multipartition {spec!r}") from exc
     return mp
 
 

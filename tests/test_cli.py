@@ -131,3 +131,28 @@ def test_determinism(capsys):
 def test_error_exit_code(capsys):
     code = main(["rep", "--multi", "[[1],[1]]"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "rook", "--k", "3", "--q", "0"],  # DivisionByZero
+        ["semisimple", "--family", "cyclo", "--k", "2"],  # missing --u
+        ["tableaux", "--multi", "[[2],[1]"],  # malformed JSON
+        ["verify", "--family", "cyclo", "--k", "2", "--u", "1,1"],  # DegenerateContent
+        ["verify", "--family", "aAlg", "--k", "3", "--u", "1,4", "--q", "2"],  # PoleAtPoint
+    ],
+)
+def test_bad_input_exits_2_with_one_line_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_aalg_specialised_passes(capsys):
+    code, out = run(capsys, "verify", "--family", "aAlg", "--k", "3", "--q", "2")
+    assert code == 0
+    assert json.loads(out)["passed"] is True

@@ -209,3 +209,11 @@ def test_verify_specialized_q():
     assert verify(generators_q1(2), rep_rels, q0=Fraction(1)).passed
     with pytest.raises(InvalidArgument):
         verify({}, rep_rels)
+
+
+def test_verify_specialises_module_matrices():
+    # at q0 = 2 the module matrices are specialised with the coefficients
+    for shape in index_set_A(3):
+        rep = cyclotomic_module(shape, U01)
+        rels = relations_A_algebra(3, U01[0], U01[1])
+        assert verify(rep.matrices, rels, q0=2).passed

@@ -1,16 +1,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qrook.errors import DivisionByZero, InvalidArgument, PoleAtPoint
 from qrook.qfield import (
+    GCD_PRIME,
     Q,
     QINV,
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    _gcd_degree_mod_p,
+    _poly_gcd_shifted,
     as_ratfunc,
+    poly_divexact,
+    poly_mul,
+    poly_shift,
+    poly_trim,
     quantum_factorial,
     quantum_integer,
     rf_add,
@@ -131,3 +138,85 @@ def test_quantum_factorial_nonzero(k):
 @given(_ratfuncs())
 def test_round_trip_random(a):
     assert RatFunc.from_string(str(a)) == a
+
+
+def test_poly_shift_rejects_inexact_division():
+    assert poly_shift((0, 0, 3), -2) == (3,)
+    with pytest.raises(InvalidArgument):
+        poly_shift((1, 0, 3), -1)
+
+
+def test_poly_divexact():
+    assert poly_divexact((-1, 0, 1), (1, 1)) == (-1, 1)  # (q^2-1)/(q+1)
+    assert poly_divexact((), (1, 1)) == ()
+    with pytest.raises(InvalidArgument):
+        poly_divexact((1, 0, 1), (1, 1))  # remainder 2
+    with pytest.raises(InvalidArgument):
+        poly_divexact((1, 1), (2,))  # exact over Q, quotient not integral
+    with pytest.raises(InvalidArgument):
+        poly_divexact((1,), (1, 1))  # divisor of higher degree
+    with pytest.raises(DivisionByZero):
+        poly_divexact((1, 1), ())
+
+
+def test_gcd_degree_mod_p():
+    a = poly_mul((1, 1), (2, 0, 1))  # (q+1)(q^2+2)
+    b = poly_mul((1, 1), (3, 1))  # (q+1)(q+3)
+    assert _gcd_degree_mod_p(a, b) == 1
+    assert _gcd_degree_mod_p((2, 0, 1), (3, 1)) == 0
+    # q + 1 and q + 1 + p are coprime over Q but equal mod p
+    assert _gcd_degree_mod_p((1, 1), (1 + GCD_PRIME, 1)) == 1
+
+
+@pytest.mark.parametrize("lead", [1, GCD_PRIME, -2 * GCD_PRIME])
+def test_gcd_with_leading_coefficient_divisible_by_prime(lead):
+    g = (1, 1)
+    a = poly_mul(g, (1, 0, lead))
+    b = poly_mul(g, (5, 1))
+    assert _poly_gcd_shifted(a, b, 0) == g
+    assert _poly_gcd_shifted(poly_shift(a, 2), b, 1) == (0, 1, 1)
+    assert _poly_gcd_shifted((1, 0, lead), (5, 1), 0) == (1,)
+
+
+_LEADS = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.sampled_from([GCD_PRIME, -GCD_PRIME, 3 * GCD_PRIME]),
+)
+
+
+@st.composite
+def _nonzero_polys(draw, max_size=4):
+    low = draw(st.lists(st.integers(-4, 4), max_size=max_size - 1))
+    return tuple(low) + (draw(_LEADS),)
+
+
+def _sympy_canonical(sympy, num, den):
+    """sympy.cancel of num/den, scaled to RatFunc's convention: integer,
+    jointly content-free, denominator with positive leading coefficient."""
+    q = sympy.Symbol("q")
+
+    def expr(c):
+        return sum(x * q**i for i, x in enumerate(c))
+
+    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    nc = sympy.Poly(n, q).all_coeffs()[::-1]
+    dc = sympy.Poly(d, q).all_coeffs()[::-1]
+    scale = sympy.ilcm(*[sympy.Rational(x).q for x in nc + dc])
+    nc = [int(x * scale) for x in nc]
+    dc = [int(x * scale) for x in dc]
+    c = sympy.igcd(*(nc + dc))
+    if dc[-1] < 0:
+        c = -c
+    return poly_trim(x // c for x in nc), poly_trim(x // c for x in dc)
+
+
+@settings(deadline=None)
+@given(_nonzero_polys(), _nonzero_polys(), _nonzero_polys(), st.integers(0, 2))
+def test_canonical_form_matches_sympy(g, a, b, shift):
+    """RatFunc(g*a, g*b) agrees with sympy.cancel, including inputs whose
+    leading coefficients are multiples of the certificate prime."""
+    sympy = pytest.importorskip("sympy")
+    num = poly_shift(poly_mul(g, a), shift)
+    den = poly_mul(g, b)
+    r = RatFunc(num, den)
+    assert (r.num, r.den) == _sympy_canonical(sympy, num, den)
