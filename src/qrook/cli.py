@@ -22,7 +22,6 @@ from .presentations import (
     relations_Bprime,
     relations_cyclotomic,
     relations_rook,
-    semisimple_A,
     semisimple_cyclotomic,
     semisimple_rook,
     verify,
@@ -73,10 +72,8 @@ def parse_q(spec: str):
         raise InvalidArgument(f"bad q value {spec!r}") from exc
 
 
-def _emit(payload, fmt: str = "json") -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True)
-    return payload
+def _emit(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def cmd_tableaux(args) -> tuple:
@@ -102,46 +99,50 @@ def cmd_rep(args) -> tuple:
     return _emit(rep.to_json()), 0
 
 
+# family -> relation suite for (k, u)
+SUITES = {
+    "rook": lambda k, u: relations_rook(k),
+    "Ak": lambda k, u: relations_Ak_presentation(k),
+    "cyclo": lambda k, u: relations_cyclotomic(k, u),
+    "aAlg": lambda k, u: relations_A_algebra(k, *u),
+    "Bprime": lambda k, u: relations_Bprime(k),
+}
+
+
 def _verify_family(family: str, k: int, u, q0):
     """Run the family's relation suite over every two-component module
-    with a one-row first component; returns (payload, passed)."""
-    if family == "rook" and q0 is not None:
+    with a one-row first component; returns (payload, passed).  The rook
+    family at q = 1 runs on the monoid's own 0/1 matrices instead."""
+    if family not in SUITES:
+        raise InvalidArgument(f"unknown family {family!r}")
+    if family == "rook" and q0 == 1:
         report = verify(generators_q1(k), relations_rook(k), q0=q0)
         return report.to_json(), report.passed
     if u is None:
         u = (as_ratfunc(0), as_ratfunc(1))
-    if family == "rook":
-        u = (as_ratfunc(0), as_ratfunc(1))
+    shapes = index_set_A(k)
+    if family == "aAlg" and len(u) != 2:
+        raise InvalidArgument("aAlg needs exactly two u values")
+    rels = SUITES[family](k, u)
     modules = {}
     passed = True
-    for shape in index_set_A(k):
-        rep = cyclotomic_module(shape, u)
+    for shape in shapes:
+        asg = cyclotomic_module(shape, u).matrices
         if family == "rook":
-            rels = relations_rook(k)
-            asg = projector_matrices(rep.matrices, k)
-        elif family == "Ak":
-            rels = relations_Ak_presentation(k)
-            asg = rep.matrices
-        elif family == "cyclo":
-            rels = relations_cyclotomic(k, u)
-            asg = rep.matrices
-        elif family == "aAlg":
-            if len(u) != 2:
-                raise InvalidArgument("aAlg needs exactly two u values")
-            rels = relations_A_algebra(k, u[0], u[1])
-            asg = rep.matrices
-        elif family == "Bprime":
-            rels = relations_Bprime(k)
-            asg = rep.matrices
-        else:
-            raise InvalidArgument(f"unknown family {family!r}")
+            asg = projector_matrices(asg, k)
         report = verify(asg, rels, q0=q0)
         modules[json.dumps(shape)] = report.to_json()
         passed = passed and report.passed
     return {"passed": passed, "modules": modules}, passed
 
 
+def _reject_u_for_rook(args):
+    if args.family == "rook" and args.u is not None:
+        raise InvalidArgument("--u does not apply to the rook family")
+
+
 def cmd_verify(args) -> tuple:
+    _reject_u_for_rook(args)
     q0 = parse_q(args.q)
     u = parse_u_list(args.u) if args.u else None
     payload, passed = _verify_family(args.family, args.k, u, q0)
@@ -199,18 +200,15 @@ def cmd_schurweyl(args) -> tuple:
 
 
 def cmd_semisimple(args) -> tuple:
+    _reject_u_for_rook(args)
     q0 = parse_q(args.q)
     if args.family == "rook":
         result = semisimple_rook(args.k, q0=q0)
-    elif args.family == "cyclo":
-        result = semisimple_cyclotomic(parse_u_list(args.u), args.k, q0=q0)
-    elif args.family == "aAlg":
-        u = parse_u_list(args.u)
-        if len(u) != 2:
-            raise InvalidArgument("aAlg needs exactly two u values")
-        result = semisimple_A(u[0], u[1], args.k, q0=q0)
     else:
-        raise InvalidArgument(f"unknown family {args.family!r}")
+        u = parse_u_list(args.u)
+        if args.family == "aAlg" and len(u) != 2:
+            raise InvalidArgument("aAlg needs exactly two u values")
+        result = semisimple_cyclotomic(u, args.k, q0=q0)
     payload = {"family": args.family, "k": args.k, "semisimple": result}
     return _emit(payload), 0
 
@@ -260,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="graded dimensions, e.g. 1,2")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--q", default="symbolic")
     p.set_defaults(func=cmd_schurweyl)
 
     p = sub.add_parser("semisimple", help="semisimplicity predicates")

@@ -161,7 +161,7 @@ class Mat:
             i * self.n + j: v for i, r in self.rows.items() for j, v in r.items()
         }
 
-    def max_entry_string(self) -> str:
+    def first_entry_string(self) -> str:
         """Deterministic witness entry for reports: the entry at the
         lexicographically first nonzero position, or "0"."""
         if not self.rows:
@@ -206,16 +206,17 @@ class RowSpan:
                 changed = True
         return vec
 
-    def insert(self, vec: dict) -> bool:
-        """Reduce and insert; returns True if the vector was independent."""
+    def insert(self, vec: dict) -> dict:
+        """Reduce and insert; returns the normalized vector that was
+        added, or an empty dict if the vector was dependent."""
         vec = self.reduce(vec)
         if not vec:
-            return False
+            return vec
         lead = min(vec)
         c = vec[lead].inv()
         vec = {j: c * v for j, v in vec.items()}
         self.pivots[lead] = vec
-        return True
+        return vec
 
     def __len__(self):
         return len(self.pivots)
@@ -233,13 +234,9 @@ def span_dimension(generators: list[Mat], n: int) -> int:
     basis_mats: list[Mat] = []
 
     def try_add(m: Mat):
-        vec = span.reduce(m.flatten())
+        vec = span.insert(m.flatten())
         if not vec:
             return
-        lead = min(vec)
-        c = vec[lead].inv()
-        vec = {j: c * v for j, v in vec.items()}
-        span.pivots[lead] = vec
         rows: dict = {}
         for idx, v in vec.items():
             rows.setdefault(idx // n, {})[idx % n] = v

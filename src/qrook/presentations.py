@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InvalidArgument, NotInvertible
 from .linalg import Mat, hecke_inverse, span_dimension
@@ -104,13 +105,9 @@ class Relation:
         return lc_sub(self.lhs, self.rhs)
 
 
-def _quadratic(i: int, constant=1) -> Relation:
+def _quadratic(i: int) -> Relation:
     t = f"T{i}"
-    return Relation(
-        f"A1:T{i}",
-        lc((1, (t, t))),
-        lc((QDIFF, (t,)), (constant, ())),
-    )
+    return Relation(f"A1:T{i}", lc((1, (t, t))), lc((QDIFF, (t,)), (1, ())))
 
 
 def _braid(i: int) -> Relation:
@@ -226,7 +223,7 @@ def b4_factors():
     ]
 
 
-def relations_affine(k: int, include_derived: bool = True):
+def relations_affine(k: int):
     """The commuting-X / braid-T mixed presentation."""
     if k < 1:
         raise InvalidArgument("k must be >= 1")
@@ -248,56 +245,51 @@ def relations_affine(k: int, include_derived: bool = True):
                 lc((1, (f"T{i}", f"X{i + 1}")), (-QDIFF, (f"X{i + 1}",))),
             )
         )
-    if include_derived:
-        if k >= 2:
-            rels.append(
-                Relation(
-                    "C6",
-                    lc((1, ("X1", "T1", "X1", "T1"))),
-                    lc((1, ("T1", "X1", "T1", "X1"))),
-                )
+    if k >= 2:
+        rels.append(
+            Relation(
+                "C6",
+                lc((1, ("X1", "T1", "X1", "T1"))),
+                lc((1, ("T1", "X1", "T1", "X1"))),
             )
-        for i in range(2, k + 1):
-            ts = tuple(f"T{j}" for j in range(i - 1, 0, -1))
-            rels.append(
-                Relation(
-                    f"Cderived:X{i}",
-                    lc((1, (f"X{i}",))),
-                    lc((1, ts + ("X1",) + tuple(reversed(ts)))),
-                )
+        )
+    for i in range(2, k + 1):
+        ts = tuple(f"T{j}" for j in range(i - 1, 0, -1))
+        rels.append(
+            Relation(
+                f"Cderived:X{i}",
+                lc((1, (f"X{i}",))),
+                lc((1, ts + ("X1",) + tuple(reversed(ts)))),
             )
+        )
     return rels
 
 
-def relations_cyclotomic(k: int, u, include_derived: bool = True):
+def relations_cyclotomic(k: int, u):
     """Affine relations plus the degree-r polynomial relation on X1."""
     u = [as_ratfunc(x) for x in u]
     if not u:
         raise InvalidArgument("need at least one u parameter")
-    rels = relations_affine(k, include_derived=include_derived)
+    rels = relations_affine(k)
     factors = [lc((1, ("X1",)), (-ui, ())) for ui in u]
     rels.append(Relation("cyclotomic:X1", lc_prod(factors), {}))
     return rels
 
 
-def relations_A_algebra(k: int, u1, u2, quadratic_plus_q: bool = False):
-    """The two-parameter quotient presentation.
-
-    The quadratic T relation is normalized to constant +1; pass
-    ``quadratic_plus_q=True`` to run the +q variant instead.
-    """
+def relations_A_algebra(k: int, u1, u2):
+    """The two-parameter quotient presentation; the quadratic T relation
+    is normalized to constant +1."""
     if k < 2:
         raise InvalidArgument("this presentation needs k >= 2")
     u1 = as_ratfunc(u1)
     u2 = as_ratfunc(u2)
     if u2.is_zero():
         raise InvalidArgument("u2 must be nonzero")
-    constant = Q if quadratic_plus_q else RF_ONE
     rels = [
         _distant(i, j) for i in range(1, k) for j in range(i + 2, k)
     ]
     rels += [_braid(i) for i in range(1, k - 1)]
-    rels += [_quadratic(i, constant=constant) for i in range(1, k)]
+    rels += [_quadratic(i) for i in range(1, k)]
     rels.append(
         Relation(
             "Aalg4",
@@ -337,10 +329,8 @@ def relations_Bprime(k: int):
     """The primed projector relations, written in the X1/T alphabet."""
     if k < 2:
         raise InvalidArgument("needs k >= 2")
-    p1 = lc((1, ()), (-1, ("X1",)))
-    p2 = lc_scale(
-        lc_sub(lc_prod([p1, lc_gen("T1"), p1]), lc_scale(p1, QDIFF)), Q
-    )
+    subst = map_P_to_X(2)
+    p1, p2 = subst["P1"], subst["P2"]
     rels = []
     for j in range(2, k):
         rels.append(
@@ -412,9 +402,6 @@ class Report:
     def passed(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def failures(self):
-        return [r for r in self.results if not r.ok]
-
     def to_json(self):
         return {
             "passed": self.passed,
@@ -457,10 +444,11 @@ def _with_inverses(assignment: dict, relations, q0=None) -> dict:
 def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:
     total = Mat.zero(n)
     for word, coeff in comb.items():
-        m = Mat.identity(n)
         for letter in word:
             if letter not in assignment:
                 raise InvalidArgument(f"missing generator {letter}")
+        m = assignment[word[0]] if word else Mat.identity(n)
+        for letter in word[1:]:
             m = m @ assignment[letter]
         total = total + m.scale(coeff)
     return total
@@ -482,7 +470,7 @@ def verify(assignment: dict, relations, q0=None) -> Report:
             comb = lincomb_specialize(comb, q0)
         residual = eval_lincomb(comb, full, n)
         results.append(
-            RelationResult(rel.name, residual.is_zero(), residual.max_entry_string())
+            RelationResult(rel.name, residual.is_zero(), residual.first_entry_string())
         )
     return Report(results)
 
@@ -498,16 +486,16 @@ def algebra_dimension(assignment: dict) -> int:
 # -- derived matrices ------------------------------------------------------
 
 
-def projector_matrices(assignment: dict, k: int, q0=None) -> dict:
-    """Extend an X1/T assignment with the projector generators."""
-    qval = Q if q0 is None else RatFunc.from_fraction(Fraction(q0))
-    qinv = qval.inv()
+def projector_matrices(assignment: dict, k: int) -> dict:
+    """Extend an X1/T assignment with the projector generators: the
+    matrix form of map_P_to_X, which stays linear in k where expanding
+    the words grows exponentially."""
     out = dict(assignment)
     n = assignment["X1"].n
     out["P1"] = Mat.identity(n) - assignment["X1"]
     for i in range(1, k):
         p, t = out[f"P{i}"], assignment[f"T{i}"]
-        out[f"P{i + 1}"] = ((p @ t @ p) - p.scale(qval - qinv)).scale(qval)
+        out[f"P{i + 1}"] = ((p @ t @ p) - p.scale(QDIFF)).scale(Q)
     return out
 
 
@@ -523,57 +511,31 @@ def tower_x_matrices(assignment: dict, k: int) -> dict:
 # -- semisimplicity predicates --------------------------------------------
 
 
-def _check_q0(q0):
-    if q0 is not None:
-        q0 = Fraction(q0)
-        if q0 == 0:
-            raise InvalidArgument("q must be nonzero")
-    return q0
-
-
 def semisimple_cyclotomic(u, k: int, q0=None) -> bool:
     """True iff q^(2d) u_i != u_j for all |d| < k, i < j, and the quantum
     factorial of k is nonzero at the chosen q."""
-    q0 = _check_q0(q0)
+    if not semisimple_rook(k, q0):
+        return False
     u = [as_ratfunc(x) for x in u]
+    qsq = Q * Q
     if q0 is not None:
-        if specialize(quantum_factorial(k), q0) == 0:
-            return False
-        vals = [specialize(x, q0) for x in u]
-        for a in range(len(vals)):
-            for b in range(a + 1, len(vals)):
-                for d in range(-k + 1, k):
-                    if q0 ** (2 * d) * vals[a] == vals[b]:
-                        return False
-        return True
-    for a in range(len(u)):
-        for b in range(a + 1, len(u)):
-            for d in range(-k + 1, k):
-                if RatFunc.q_power(2 * d) * u[a] == u[b]:
-                    return False
-    return True
-
-
-def semisimple_A(u1, u2, k: int, q0=None) -> bool:
-    """True iff q^(2d) u1 != u2 for all |d| < k and [k]! != 0."""
-    q0 = _check_q0(q0)
-    u1 = as_ratfunc(u1)
-    u2 = as_ratfunc(u2)
-    if q0 is not None:
-        if specialize(quantum_factorial(k), q0) == 0:
-            return False
-        v1, v2 = specialize(u1, q0), specialize(u2, q0)
-        return all(q0 ** (2 * d) * v1 != v2 for d in range(-k + 1, k))
-    return all(
-        RatFunc.q_power(2 * d) * u1 != u2 for d in range(-k + 1, k)
+        q0 = Fraction(q0)
+        u = [specialize(x, q0) for x in u]
+        qsq = q0**2
+    return not any(
+        qsq**d * u[a] == u[b]
+        for a, b in combinations(range(len(u)), 2)
+        for d in range(-k + 1, k)
     )
 
 
 def semisimple_rook(k: int, q0=None) -> bool:
     """True iff the quantum factorial of k is nonzero at q."""
-    q0 = _check_q0(q0)
     if q0 is None:
         return True
+    q0 = Fraction(q0)
+    if q0 == 0:
+        raise InvalidArgument("q must be nonzero")
     return specialize(quantum_factorial(k), q0) != 0
 
 

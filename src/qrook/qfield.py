@@ -56,10 +56,6 @@ def poly_neg(a):
     return tuple(-x for x in a)
 
 
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
-
-
 def poly_mul(a, b):
     if not a or not b:
         return P_ZERO
@@ -70,12 +66,6 @@ def poly_mul(a, b):
                 if y:
                     out[i + j] += x * y
     return tuple(out) if out[-1] else poly_trim(out)
-
-
-def poly_scale(a, c):
-    if c == 0:
-        return P_ZERO
-    return tuple(x * c for x in a)
 
 
 def poly_content(a):
@@ -343,9 +333,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num == P_ZERO
 
-    def is_one(self) -> bool:
-        return self.num == P_ONE and self.den == P_ONE
-
     # -- field operations ----------------------------------------------
 
     def __add__(self, other):
@@ -485,22 +472,6 @@ RF_ZERO = RatFunc(P_ZERO, P_ONE, _canonical=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _canonical=True)
 Q = RatFunc.q_power(1)
 QINV = RatFunc.q_power(-1)
-
-
-def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a + b
-
-
-def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a * b
-
-
-def rf_neg(a: RatFunc) -> RatFunc:
-    return -a
-
-
-def rf_inv(a: RatFunc) -> RatFunc:
-    return a.inv()
 
 
 def specialize(f: RatFunc, q0) -> Fraction:

@@ -7,7 +7,8 @@ import math
 from itertools import combinations, permutations
 
 from .errors import InvalidArgument
-from .linalg import Mat, span_dimension
+from .linalg import Mat
+from .presentations import algebra_dimension
 from .qfield import RF_ONE
 
 
@@ -182,6 +183,4 @@ def monoid_algebra_dimension(k: int) -> int:
 def regular_dimension(k: int) -> int:
     """Word-span dimension of the left-regular representation; equals
     monoid_algebra_dimension(k) by faithfulness."""
-    asg = left_regular_assignment(k)
-    gens = [asg[name] for name in sorted(asg)]
-    return span_dimension(gens, gens[0].n)
+    return algebra_dimension(left_regular_assignment(k))

@@ -17,7 +17,6 @@ from qrook.presentations import (
     relations_A_algebra,
     relations_Ak_presentation,
     relations_rook,
-    semisimple_A,
     semisimple_cyclotomic,
     semisimple_rook,
     tower_x_matrices,
@@ -37,7 +36,7 @@ from qrook.shapes import (
 from qrook.tensor import (
     GradedBasis,
     centralizer_dimension,
-    lift_pair,
+    lift,
     phiP,
     rmatrix,
     rmatrix_at_one_is_flip,
@@ -296,7 +295,7 @@ def test_criterion_07_restriction():
 
 def test_criterion_08_semisimplicity():
     ok = all(semisimple_rook(k, Fraction(1)) for k in range(1, 7))
-    ok = ok and not semisimple_A(1, Q * Q, 2)
+    ok = ok and not semisimple_cyclotomic((1, Q * Q), 2)
     ok = ok and not semisimple_cyclotomic(
         (as_ratfunc(1), as_ratfunc(1)), 2
     )
@@ -365,8 +364,8 @@ def test_criterion_11_rmatrix_unit_checks():
         ok = ok and r.get(1, 1) == Q - QINV
         # quadratic and braid on three tensor factors
         ok = ok and (r @ r) == r.scale(Q - QINV) + Mat.identity(n * n)
-        r1 = lift_pair(r, 3, 1, n)
-        r2 = lift_pair(r, 3, 2, n)
+        r1 = lift(r, 3, 1, n)
+        r2 = lift(r, 3, 2, n)
         ok = ok and (r1 @ r2 @ r1) == (r2 @ r1 @ r2)
         ok = ok and rmatrix_at_one_is_flip(n)
     _report(

@@ -62,6 +62,35 @@ def test_verify_rook_at_q1(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("q", ["1", "3"])
+def test_verify_rook_specialised(capsys, q):
+    # q = 1 runs on the 0/1 monoid matrices, any other q on the
+    # specialised seminormal modules
+    code, out = run(capsys, "verify", "--family", "rook", "--k", "4", "--q", q)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "rook", "--k", "3", "--u", "5,7"],
+        ["semisimple", "--family", "rook", "--k", "3", "--u", "5,7"],
+    ],
+)
+def test_rook_rejects_u(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --u does not apply to the rook family\n"
+
+
+def test_schurweyl_has_no_q_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schurweyl", "--m", "1,1", "--k", "2", "--u", "0,1", "--q", "1"])
+    assert exc.value.code == 2
+
+
 def test_bratteli_json_counts(capsys):
     code, out = run(capsys, "bratteli", "--family", "A", "--levels", "3")
     assert code == 0

@@ -1,5 +1,6 @@
 """Golden stdout corpus: canonical forms in Q(q) are unique, so any change
-to the field arithmetic must leave these outputs byte-identical."""
+to the field arithmetic, the tensor-space operators or the
+semisimplicity predicates must leave these outputs byte-identical."""
 
 import hashlib
 
@@ -27,6 +28,38 @@ CORPUS = [
     (
         ["rep", "--multi", "[[1],[2,1]]", "--u", "1,3"],
         "7c0d303a2c8d21c66c9e4187b7c4f7acc2d23eea7f2839727885014f1c74e262",
+    ),
+    (
+        ["schurweyl", "--m", "1,1", "--k", "4", "--u", "0,1"],
+        "7df9c0d104040507125cd47bebbc3274b081b80c65ec14f6acf42e11165e2c76",
+    ),
+    (
+        ["schurweyl", "--m", "1,2", "--k", "3", "--u", "0,1"],
+        "2ede4bfddd4ba69623de84d3827869f11879c2fc153b0ad952dfa74d25cd8e67",
+    ),
+    (
+        ["semisimple", "--family", "aAlg", "--k", "2", "--u", "1,q^2"],
+        "859d06a5ba2fac12157e3600a4fc25aa7394749ad3e8826c9e43f1bad6e4f45b",
+    ),
+    (
+        ["semisimple", "--family", "cyclo", "--k", "3", "--u", "1,q^6", "--q", "2"],
+        "b21760097d383cfc89cd570b2469b7b33cd0a365df07957b4c921df38edc1050",
+    ),
+    (
+        ["semisimple", "--family", "aAlg", "--k", "3", "--u", "1,2", "--q", "1/2"],
+        "1199888e0b828d0bb2dd83b936e14644fb63aa7a5c7e67405091294d43ad1089",
+    ),
+    (
+        ["verify", "--family", "Ak", "--k", "4"],
+        "d8ac71db25744e559b3ff133033a8c2d0ea96a62c7b3de229a82d412661bfde4",
+    ),
+    (
+        ["verify", "--family", "rook", "--k", "3", "--q", "1"],
+        "b74e537b220483cd5512593e80adc3aa8186d9ccdf95d7da9c45cf3e2556cb8d",
+    ),
+    (
+        ["verify", "--family", "cyclo", "--k", "3", "--u", "1,3", "--q", "5"],
+        "66b352c6706109377379ca69c6aeaceb3e2cabd683b6f825f8858e56ae34f1c8",
     ),
 ]
 

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from qrook.cli import SUITES
 from qrook.errors import InvalidArgument, NotInvertible
 from qrook.linalg import Mat, hecke_inverse
 from qrook.presentations import (
@@ -22,7 +23,6 @@ from qrook.presentations import (
     relations_Bprime,
     relations_cyclotomic,
     relations_rook,
-    semisimple_A,
     semisimple_cyclotomic,
     semisimple_rook,
     verify,
@@ -83,7 +83,7 @@ def test_affine_examples():
 
 
 def test_cyclotomic_expansion():
-    rels = relations_cyclotomic(2, U01, include_derived=False)
+    rels = relations_cyclotomic(2, U01)
     poly = [r for r in rels if r.name == "cyclotomic:X1"][0]
     # (X1 - 0)(X1 - 1) = X1^2 - X1
     assert poly.lhs == lc((1, ("X1", "X1")), (-1, ("X1",)))
@@ -157,6 +157,26 @@ def test_negative_control_corrupted_matrix_fails():
     assert any(not r.ok for r in report.results)
 
 
+@pytest.mark.parametrize("family", sorted(SUITES))
+def test_negative_control_every_family(family):
+    # the suite the CLI builds once per call must pass on a module and
+    # fail once a single entry of one generator is changed
+    # (X1 gets the eigenvalue 2, outside u = (0, 1); T1 is left alone
+    # because the rook suite inverts it)
+    k = 3
+    rels = SUITES[family](k, U01)
+    good = cyclotomic_module(((1,), (2,)), U01).matrices
+    bad = dict(good)
+    bad["X1"] = good["X1"].copy()
+    bad["X1"].set(0, 0, as_ratfunc(2))
+    if family == "rook":
+        good, bad = projector_matrices(good, k), projector_matrices(bad, k)
+    assert verify(good, rels).passed
+    report = verify(bad, rels)
+    assert not report.passed
+    assert all(r.ok == (r.residual == "0") for r in report.results)
+
+
 def test_verify_report_json():
     rep = cyclotomic_module(((2,), ()), U01)
     data = verify(rep.matrices, relations_Ak_presentation(2)).to_json()
@@ -185,8 +205,8 @@ def test_algebra_dimensions():
 def test_semisimplicity_predicates():
     assert semisimple_cyclotomic(U23, 3)
     assert not semisimple_cyclotomic((as_ratfunc(1), as_ratfunc(1)), 2)
-    assert semisimple_A(1, 2, 2)
-    assert not semisimple_A(1, Q * Q, 2)  # u2 = q^2 u1 boundary
+    assert semisimple_cyclotomic((1, 2), 2)
+    assert not semisimple_cyclotomic((1, Q * Q), 2)  # u2 = q^2 u1 boundary
     assert semisimple_rook(6, Fraction(1))
     assert semisimple_rook(4)
     with pytest.raises(InvalidArgument):

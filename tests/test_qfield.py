@@ -20,34 +20,30 @@ from qrook.qfield import (
     poly_trim,
     quantum_factorial,
     quantum_integer,
-    rf_add,
-    rf_inv,
-    rf_mul,
-    rf_neg,
     specialize,
 )
 
 
 def test_add_q_and_q_inverse():
-    out = rf_add(Q, QINV)
+    out = Q + QINV
     assert out == RatFunc((1, 0, 1), (0, 1))
     assert str(out) == "(q^2+1)/(q)"
 
 
 def test_mul_qdiff_by_q():
-    assert rf_mul(Q - QINV, Q) == RatFunc((-1, 0, 1))
-    assert str(rf_mul(Q - QINV, Q)) == "q^2-1"
+    assert (Q - QINV) * Q == RatFunc((-1, 0, 1))
+    assert str((Q - QINV) * Q) == "q^2-1"
 
 
 def test_inv_swaps_and_renormalizes():
     a = RatFunc((1, 0, 1), (0, 1))  # (q^2+1)/q
-    assert rf_inv(a) == RatFunc((0, 1), (1, 0, 1))
-    assert str(rf_inv(a)) == "(q)/(q^2+1)"
+    assert a.inv() == RatFunc((0, 1), (1, 0, 1))
+    assert str(a.inv()) == "(q)/(q^2+1)"
 
 
 def test_inv_zero_raises():
     with pytest.raises(DivisionByZero):
-        rf_inv(RF_ZERO)
+        RF_ZERO.inv()
 
 
 def test_quantum_integers():
@@ -115,8 +111,8 @@ def test_field_laws(a, b, c):
 
 @given(_ratfuncs().filter(lambda a: not a.is_zero()))
 def test_inverse_law(a):
-    assert a * rf_inv(a) == RF_ONE
-    assert rf_add(a, rf_neg(a)) == RF_ZERO
+    assert a * a.inv() == RF_ONE
+    assert a + (-a) == RF_ZERO
 
 
 @given(_ratfuncs(), _ratfuncs(), st.integers(2, 7))

@@ -14,8 +14,7 @@ from qrook.tensor import (
     centralizer_dimension,
     dop,
     intertwiner_fix_coproduct,
-    lift_pair,
-    lift_single,
+    lift,
     phiP,
     predicted_centralizer_dimension,
     rmatrix,
@@ -73,8 +72,8 @@ def test_rmatrix_inverse():
 def test_rmatrix_quadratic_and_braid_on_three_factors(n):
     r = rmatrix(n)
     assert r @ r == r.scale(Q - QINV) + Mat.identity(n * n)
-    r1 = lift_pair(r, 3, 1, n)
-    r2 = lift_pair(r, 3, 2, n)
+    r1 = lift(r, 3, 1, n)
+    r2 = lift(r, 3, 2, n)
     assert r1 @ r2 @ r1 == r2 @ r1 @ r2
 
 
@@ -124,12 +123,12 @@ def test_distant_operators_commute():
     r = rmatrix(n)
     basis = GradedBasis((1, 1))
     s = smatrix(basis)
-    d1 = lift_single(dop(basis, U01), k, 1, n)
-    r3 = lift_pair(r, k, 3, n)
-    s3 = lift_pair(s, k, 3, n)
+    d1 = lift(dop(basis, U01), k, 1, n)
+    r3 = lift(r, k, 3, n)
+    s3 = lift(s, k, 3, n)
     assert d1 @ r3 == r3 @ d1
     assert d1 @ s3 == s3 @ d1
-    assert lift_pair(r, k, 1, n) @ r3 == r3 @ lift_pair(r, k, 1, n)
+    assert lift(r, k, 1, n) @ r3 == r3 @ lift(r, k, 1, n)
 
 
 def test_phiP_k1_is_diagonal():
