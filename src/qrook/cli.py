@@ -26,7 +26,7 @@ from .presentations import (
     semisimple_rook,
     verify,
 )
-from .qfield import RatFunc, as_ratfunc
+from .qfield import as_ratfunc
 from .rook import enumerate_rook, generators_q1, rook_cardinality
 from .seminormal import (
     calibrated_skew_module,
@@ -47,7 +47,6 @@ from .shapes import (
 )
 from .tensor import (
     GradedBasis,
-    centralizer_dimension,
     phiP,
     predicted_centralizer_dimension,
     verify_phiP,
@@ -77,7 +76,7 @@ def _emit(payload) -> str:
 
 
 def cmd_tableaux(args) -> tuple:
-    if args.multi:
+    if args.multi is not None:
         shape = parse_multipartition(args.multi)
     else:
         shape = parse_skew(args.skew)
@@ -86,11 +85,11 @@ def cmd_tableaux(args) -> tuple:
 
 
 def cmd_rep(args) -> tuple:
-    if args.multi:
+    if args.multi is not None:
         if args.u is None:
             raise InvalidArgument("--multi requires --u")
         rep = cyclotomic_module(parse_multipartition(args.multi), parse_u_list(args.u))
-    elif args.skew:
+    elif args.skew is not None:
         rep = calibrated_skew_module(parse_skew(args.skew), args.k)
     else:
         if args.k is None or args.d is None or args.u1 is None:
@@ -136,15 +135,19 @@ def _verify_family(family: str, k: int, u, q0):
     return {"passed": passed, "modules": modules}, passed
 
 
-def _reject_u_for_rook(args):
-    if args.family == "rook" and args.u is not None:
-        raise InvalidArgument("--u does not apply to the rook family")
+# families whose relation suite is written for u = (0, 1) only
+FIXED_U_FAMILIES = ("rook", "Ak", "Bprime")
+
+
+def _reject_fixed_u(args):
+    if args.family in FIXED_U_FAMILIES and args.u is not None:
+        raise InvalidArgument(f"--u does not apply to the {args.family} family")
 
 
 def cmd_verify(args) -> tuple:
-    _reject_u_for_rook(args)
+    _reject_fixed_u(args)
     q0 = parse_q(args.q)
-    u = parse_u_list(args.u) if args.u else None
+    u = parse_u_list(args.u) if args.u is not None else None
     payload, passed = _verify_family(args.family, args.k, u, q0)
     return _emit(payload), 0 if passed else 1
 
@@ -177,7 +180,11 @@ def cmd_dims(args) -> tuple:
 
 
 def cmd_schurweyl(args) -> tuple:
-    basis = GradedBasis(tuple(int(x) for x in args.m.split(",")))
+    try:
+        dims = tuple(int(x) for x in args.m.split(","))
+    except ValueError as exc:
+        raise InvalidArgument(f"bad graded dimensions {args.m!r}") from exc
+    basis = GradedBasis(dims)
     u = parse_u_list(args.u)
     reports = verify_phiP(args.k, basis, u)
     payload = {
@@ -200,7 +207,7 @@ def cmd_schurweyl(args) -> tuple:
 
 
 def cmd_semisimple(args) -> tuple:
-    _reject_u_for_rook(args)
+    _reject_fixed_u(args)
     q0 = parse_q(args.q)
     if args.family == "rook":
         result = semisimple_rook(args.k, q0=q0)
@@ -275,6 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # argparse before Python 3.13 reads "--opt=--" as an empty list
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise InvalidArgument(f"argument --{name} needs one value")
         output, code = args.func(args)
     except (InvalidArgument, DivisionByZero, PoleAtPoint, DegenerateContent) as exc:
         print(f"error: {exc}", file=sys.stderr)

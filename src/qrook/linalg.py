@@ -196,9 +196,10 @@ class RowSpan:
             lead = min(vec)
             basis_vec = self.pivots.get(lead)
             if basis_vec is not None:
-                c = vec[lead]
+                c = -vec[lead]
                 for j, v in basis_vec.items():
-                    s = vec.get(j, RF_ZERO) - c * v
+                    cur = vec.get(j)
+                    s = c * v if cur is None else cur + c * v
                     if s.is_zero():
                         vec.pop(j, None)
                     else:

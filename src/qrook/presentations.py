@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InvalidArgument, NotInvertible
+from .errors import InvalidArgument
 from .linalg import Mat, hecke_inverse, span_dimension
 from .qfield import (
     Q,

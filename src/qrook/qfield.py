@@ -325,7 +325,10 @@ class RatFunc:
                 num, den = s.split("/", 1)
             else:
                 num, den = m.groups()
-            return RatFunc(poly_from_string(num), poly_from_string(den))
+            den = poly_from_string(den)
+            if not den:
+                raise InvalidArgument(f"zero denominator in {s!r}")
+            return RatFunc(poly_from_string(num), den)
         return RatFunc(poly_from_string(s))
 
     # -- predicates ----------------------------------------------------
@@ -336,9 +339,17 @@ class RatFunc:
     # -- field operations ----------------------------------------------
 
     def __add__(self, other):
-        other = as_ratfunc(other)
-        if self.den == P_ONE and other.den == P_ONE:
-            return RatFunc(poly_add(self.num, other.num), P_ONE, _canonical=True)
+        if not isinstance(other, RatFunc):
+            other = as_ratfunc(other)
+        a = _monic_monomial_degree(self.den)
+        b = _monic_monomial_degree(other.den) if a >= 0 else -1
+        if b >= 0:
+            if a == b:
+                return _over_q_power(poly_add(self.num, other.num), a)
+            # n1/q^a + n2/q^b = (n1 q^(e-a) + n2 q^(e-b)) / q^e, e = max(a, b)
+            e = max(a, b)
+            num = poly_add(poly_shift(self.num, e - a), poly_shift(other.num, e - b))
+            return _over_q_power(num, e)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -360,12 +371,14 @@ class RatFunc:
         return as_ratfunc(other) + (-self)
 
     def __mul__(self, other):
-        other = as_ratfunc(other)
-        if self.is_zero() or other.is_zero():
+        if not isinstance(other, RatFunc):
+            other = as_ratfunc(other)
+        if not self.num or not other.num:
             return RF_ZERO
-        if self.den == P_ONE and other.den == P_ONE:
-            # a product of polynomials over 1 is already canonical
-            return RatFunc(poly_mul(self.num, other.num), P_ONE, _canonical=True)
+        a = _monic_monomial_degree(self.den)
+        b = _monic_monomial_degree(other.den) if a >= 0 else -1
+        if b >= 0:
+            return _over_q_power(poly_mul(self.num, other.num), a + b)
         return RatFunc(
             poly_mul(self.num, other.num), poly_mul(self.den, other.den)
         )
@@ -423,6 +436,27 @@ class RatFunc:
         return f"({poly_to_string(self.num)})/({poly_to_string(self.den)})"
 
     __repr__ = __str__
+
+
+def _monic_monomial_degree(p):
+    """e when the polynomial p is q^e, otherwise -1."""
+    e = len(p) - 1
+    return e if p[-1] == 1 and (not e or p.count(0) == e) else -1
+
+
+def _over_q_power(num, e):
+    """The canonical RatFunc num / q^e for an integer polynomial num.
+
+    Only a common power of q can cancel: q^e has content 1 and a positive
+    leading coefficient, so stripping min(v(num), e) powers of q gives the
+    unique canonical form without a gcd."""
+    if not num:
+        return RF_ZERO
+    if e and not num[0]:
+        v = min(poly_valuation(num), e)
+        num = num[v:]
+        e -= v
+    return RatFunc(num, (0,) * e + P_ONE, _canonical=True)
 
 
 def _canonicalize(num, den):

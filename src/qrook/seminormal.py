@@ -8,14 +8,13 @@ dropped when the swapped filling is not standard).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateContent, InvalidArgument
 from .linalg import Mat
-from .qfield import Q, QINV, RF_ONE, RatFunc, as_ratfunc
+from .qfield import Q, QINV, as_ratfunc
 from .shapes import (
     SkewShape,
-    StandardTableau,
     content,
     enumerate_standard_tableaux,
     is_multipartition,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import InvalidArgument
-from .qfield import RF_ONE, RatFunc, as_ratfunc
+from .qfield import RatFunc, as_ratfunc
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 Box = tuple  # (component | None, row, col)
@@ -48,7 +50,9 @@ class SkewShape:
 
 
 def check_partition(p):
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)) or any(x <= 0 for x in p):
+    if any(type(x) is not int or x <= 0 for x in p) or any(
+        p[i] < p[i + 1] for i in range(len(p) - 1)
+    ):
         raise InvalidArgument(f"not a partition: {p}")
 
 
@@ -221,7 +225,54 @@ def enumerate_standard_tableaux(shape):
 
 
 def count_standard_tableaux(shape) -> int:
-    return len(enumerate_standard_tableaux(shape))
+    """Number of standard tableaux of a shape, from a closed form; no
+    tableau is built.
+
+    A skew shape lambda/mu with n boxes has Aitken's determinant (1943)
+    f = n! * det[1 / (lambda_i - mu_j - i + j)!], i, j over the rows of
+    lambda and 1/m! = 0 for m < 0.  A partition is the case mu = (), where
+    the determinant equals the Frame-Robinson-Thrall hook-length formula.
+    A multipartition gets the multinomial C(n; |lambda^1|, ..., |lambda^r|)
+    times the product of its components' counts.  The tests check it
+    against ``len(enumerate_standard_tableaux(shape))``.
+    """
+    if isinstance(shape, SkewShape):
+        return _aitken(shape.outer, shape.inner)
+    if not is_multipartition(shape):
+        return _aitken(shape, ())
+    sizes = [sum(p) for p in shape]
+    out = factorial(sum(sizes))
+    for m in sizes:
+        out //= factorial(m)
+    for p in shape:
+        out *= _aitken(p, ())
+    return out
+
+
+def _aitken(outer, inner) -> int:
+    """n! * det[1 / (outer_i - inner_j - i + j)!] in exact arithmetic.
+
+    Elimination needs no row exchange: the leading k x k minor is the same
+    determinant for the first k rows of outer and inner, a skew shape with
+    at least one standard tableau, so every pivot is positive."""
+    rows = len(outer)
+    inner = tuple(inner) + (0,) * (rows - len(inner))
+    m = [
+        [
+            Fraction(1, factorial(d)) if d >= 0 else Fraction(0)
+            for d in (outer[i] - inner[j] - i + j for j in range(rows))
+        ]
+        for i in range(rows)
+    ]
+    det = Fraction(factorial(sum(outer) - sum(inner)))
+    for c in range(rows):
+        pivot = m[c][c]
+        det *= pivot
+        for r in range(c + 1, rows):
+            f = m[r][c] / pivot
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return int(det)
 
 
 def content(box, u=None, shift: RatFunc | None = None) -> RatFunc:
@@ -362,8 +413,8 @@ def parse_multipartition(spec: str):
 
 def parse_skew(spec: str) -> SkewShape:
     """Parse a skew spec such as "[2,1]/[1]"."""
-    if "/" in spec:
-        outer, inner = spec.split("/", 1)
-    else:
-        outer, inner = spec, "[]"
-    return SkewShape(tuple(json.loads(outer)), tuple(json.loads(inner)))
+    outer, slash, inner = spec.partition("/")
+    try:
+        return SkewShape(tuple(json.loads(outer)), tuple(json.loads(inner if slash else "[]")))
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise InvalidArgument(f"bad skew shape {spec!r}") from exc

@@ -85,6 +85,18 @@ def test_rook_rejects_u(capsys, argv):
     assert captured.err == "error: --u does not apply to the rook family\n"
 
 
+@pytest.mark.parametrize(
+    "family,u", [("Ak", "1,3"), ("Bprime", "2,5")]
+)
+def test_fixed_u_families_reject_u(capsys, family, u):
+    # both suites are written for u = (0, 1); any other --u would make
+    # correct modules fail the suite
+    assert main(["verify", "--family", family, "--k", "3", "--u", u]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --u does not apply to the {family} family\n"
+
+
 def test_schurweyl_has_no_q_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["schurweyl", "--m", "1,1", "--k", "2", "--u", "0,1", "--q", "1"])
@@ -170,6 +182,13 @@ def test_error_exit_code(capsys):
         ["tableaux", "--multi", "[[2],[1]"],  # malformed JSON
         ["verify", "--family", "cyclo", "--k", "2", "--u", "1,1"],  # DegenerateContent
         ["verify", "--family", "aAlg", "--k", "3", "--u", "1,4", "--q", "2"],  # PoleAtPoint
+        ["tableaux", "--skew", "[2,1]/1"],  # inner shape is not a list
+        ["rep", "--skew", "2,1/1", "--k", "2"],  # malformed JSON
+        ["schurweyl", "--m", "a", "--k", "2", "--u", "0,1"],  # graded dimension not an int
+        ["tableaux", "--multi", "[[1.5]]"],  # part not an int
+        ["semisimple", "--family", "cyclo", "--k", "2", "--u", "1/0"],  # zero denominator
+        ["tableaux", "--multi="],  # empty spec
+        ["schurweyl", "--m=--", "--k", "1", "--u", "0,1"],  # argparse gives a list
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(capsys, argv):

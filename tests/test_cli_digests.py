@@ -61,6 +61,18 @@ CORPUS = [
         ["verify", "--family", "cyclo", "--k", "3", "--u", "1,3", "--q", "5"],
         "66b352c6706109377379ca69c6aeaceb3e2cabd683b6f825f8858e56ae34f1c8",
     ),
+    (
+        ["dims", "--rook", "9"],
+        "3c6e6cc83a4ab5ebba5a2c51d52664b1afea5da8f050e5463b7f32177ee988d3",
+    ),
+    (
+        ["tableaux", "--skew", "[3,2]/[1]"],
+        "aeaf224a8b8891d8650a7d614ae086de2115f0999112f43e2626edb77ed2d132",
+    ),
+    (
+        ["rep", "--skew", "[3,2]/[1]", "--k", "4"],
+        "6252a0c88c6a08f514a53ad116ff68d6a9b19b9d424eb8d20e77373911572347",
+    ),
 ]
 
 

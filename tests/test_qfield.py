@@ -14,6 +14,7 @@ from qrook.qfield import (
     _gcd_degree_mod_p,
     _poly_gcd_shifted,
     as_ratfunc,
+    poly_add,
     poly_divexact,
     poly_mul,
     poly_shift,
@@ -216,3 +217,33 @@ def test_canonical_form_matches_sympy(g, a, b, shift):
     den = poly_mul(g, b)
     r = RatFunc(num, den)
     assert (r.num, r.den) == _sympy_canonical(sympy, num, den)
+
+
+@settings(deadline=None)
+@given(
+    _nonzero_polys(),
+    st.integers(0, 40),
+    _nonzero_polys(),
+    st.integers(0, 40),
+    st.sampled_from([1, 1, 2, -3]),
+)
+def test_q_power_denominators_match_sympy(n1, e1, n2, e2, c):
+    """Sums and products of elements whose denominators are powers of q
+    (the fast path when the coefficient c is 1) agree with sympy.cancel."""
+    sympy = pytest.importorskip("sympy")
+    d1 = poly_shift((1,), e1)
+    d2 = poly_shift((c,), e2)
+    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+    product = (poly_mul(n1, n2), poly_mul(d1, d2))
+    total = (poly_add(poly_mul(n1, d2), poly_mul(n2, d1)), poly_mul(d1, d2))
+    for r, (num, den) in ((a * b, product), (a + b, total), (b + a, total)):
+        assert (r.num, r.den) == _sympy_canonical(sympy, num, den)
+
+
+def test_q_power_fast_path_exact_cases():
+    big = RatFunc((1,), poly_shift((1,), 1000))  # q^-1000
+    assert big * RatFunc.q_power(1000) == RF_ONE
+    assert (big + big).num == (2,) and (big + big).den == poly_shift((1,), 1000)
+    assert RatFunc((0, 3), (0, 0, 1)) + RatFunc((0, -3), (0, 0, 1)) == RF_ZERO
+    # (1 + q^2)/q + (q - 1) = (2q^2 - q + 1)/q
+    assert QINV * (1 + Q * Q) + (Q - 1) == RatFunc((1, -1, 2), (0, 1))

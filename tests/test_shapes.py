@@ -96,6 +96,45 @@ def test_tableau_count_brute_force_skew(outer, inner):
     assert count_standard_tableaux(shape) == _brute_force_count(shape)
 
 
+def _skew_shapes(max_outer):
+    for n in range(max_outer + 1):
+        for outer in enumerate_partitions(n):
+            for m in range(n + 1):
+                for inner in enumerate_partitions(m):
+                    padded = inner + (0,) * len(outer)
+                    if len(inner) <= len(outer) and all(
+                        i <= o for i, o in zip(padded, outer)
+                    ):
+                        yield SkewShape(outer, inner)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [p for n in range(9) for p in enumerate_partitions(n)],
+        [mp for n in range(7) for mp in index_set_H(n, 2)],
+        list(_skew_shapes(7)),
+    ],
+    ids=["partitions_le8", "pairs_le6", "skew_outer_le7"],
+)
+def test_closed_form_count_matches_enumeration(shapes):
+    """The determinant count against the enumeration oracle, exhaustively."""
+    for shape in shapes:
+        assert count_standard_tableaux(shape) == len(enumerate_standard_tableaux(shape)), shape
+
+
+def test_closed_form_count_large_shapes():
+    # hook-length values: f(5,4,3,2,1) = 292864, f(10,10) = Catalan(10)
+    assert count_standard_tableaux((5, 4, 3, 2, 1)) == 292864
+    assert count_standard_tableaux((10, 10)) == 16796
+    assert count_standard_tableaux((1,) * 12) == 1
+    assert count_standard_tableaux(()) == 1
+    # f((2),(1,1)) = C(4,2) * 1 * 1; f([3,3]/[1]) = f(3,2) = 5
+    assert count_standard_tableaux(((2,), (1, 1))) == 6
+    assert count_standard_tableaux(SkewShape((3, 3), (1,))) == 5
+    assert count_standard_tableaux(SkewShape((2, 2), (2, 2))) == 1
+
+
 def test_tableaux_canonical_order():
     tabs = enumerate_standard_tableaux(((1,), (1,)))
     keys = [t.sort_key() for t in tabs]
