@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -161,6 +162,8 @@ def cmd_bratteli(args) -> tuple:
 
 
 def cmd_dims(args) -> tuple:
+    if args.rook < 1:
+        raise InvalidArgument("--rook must be >= 1")
     table = {}
     ok = True
     for k in range(1, args.rook + 1):
@@ -290,7 +293,12 @@ def main(argv=None) -> int:
     except (InvalidArgument, DivisionByZero, PoleAtPoint, DegenerateContent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; silence the interpreter's own flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

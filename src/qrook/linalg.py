@@ -3,6 +3,15 @@
 Matrices are dict-of-rows ``{i: {j: RatFunc}}`` with explicit size; zero
 entries are never stored.  Row reduction pivots on the leftmost nonzero
 column, which makes every dimension count reproducible.
+
+``span_dimension`` has two exact paths with one breadth-first loop.
+When every generator entry is a Laurent polynomial, it eliminates over
+Z[q, q^-1] with plain integers (``LaurentSpan``), which is possible while
+every pivot's lead entry is a unit +-q^a: dividing by a unit stays in the
+ring, the candidates and the pivot rule are those of the Q(q) path, so
+the vectors and every dependence decision are the same.  Otherwise, or at
+the first lead entry that is not a unit, it runs from the start over Q(q)
+(``RowSpan``), the general path and the oracle of record.
 """
 
 from __future__ import annotations
@@ -183,28 +192,27 @@ def hecke_inverse(t: Mat, qval: RatFunc, qinv: RatFunc) -> Mat:
 
 
 class RowSpan:
-    """Row-reduced basis of sparse vectors over Q(q)."""
+    """Row-reduced basis of sparse vectors over Q(q), ``{index: RatFunc}``.
+
+    Each pivot is stored under its leftmost column and normalised so that
+    its entry there is exactly 1.  ``reduce`` and ``insert`` are written
+    once; how a vector is stored is left to ``_copy``, ``_lead``,
+    ``_subtract`` and ``_normalise``, which :class:`LaurentSpan`
+    overrides."""
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}  # pivot index -> normalized vector
 
     def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        changed = True
-        while changed and vec:
-            changed = False
-            lead = min(vec)
-            basis_vec = self.pivots.get(lead)
-            if basis_vec is not None:
-                c = -vec[lead]
-                for j, v in basis_vec.items():
-                    cur = vec.get(j)
-                    s = c * v if cur is None else cur + c * v
-                    if s.is_zero():
-                        vec.pop(j, None)
-                    else:
-                        vec[j] = s
-                changed = True
+        """A reduced copy of vec: its lead column holds no pivot."""
+        vec = self._copy(vec)
+        pivots = self.pivots
+        while vec:
+            lead = self._lead(vec)
+            basis_vec = pivots.get(lead)
+            if basis_vec is None:
+                break
+            self._subtract(vec, lead, basis_vec)
         return vec
 
     def insert(self, vec: dict) -> dict:
@@ -213,14 +221,152 @@ class RowSpan:
         vec = self.reduce(vec)
         if not vec:
             return vec
-        lead = min(vec)
-        c = vec[lead].inv()
-        vec = {j: c * v for j, v in vec.items()}
+        lead = self._lead(vec)
+        vec = self._normalise(vec, lead)
         self.pivots[lead] = vec
         return vec
 
     def __len__(self):
         return len(self.pivots)
+
+    _copy = staticmethod(dict)
+    _lead = staticmethod(min)
+
+    @staticmethod
+    def _subtract(vec: dict, lead: int, basis_vec: dict):
+        """vec -= vec[lead] * basis_vec, in place."""
+        c = -vec[lead]
+        for j, v in basis_vec.items():
+            cur = vec.get(j)
+            s = c * v if cur is None else cur + c * v
+            if s.is_zero():
+                vec.pop(j, None)
+            else:
+                vec[j] = s
+
+    @staticmethod
+    def _normalise(vec: dict, lead: int) -> dict:
+        c = vec[lead].inv()
+        return {j: c * v for j, v in vec.items()}
+
+
+class NonUnitPivot(Exception):
+    """A new pivot's lead entry is not a unit +-q^a of Z[q, q^-1]."""
+
+
+class LaurentSpan(RowSpan):
+    """The same elimination over Z[q, q^-1].
+
+    A vector is a Laurent polynomial with integer vector coefficients,
+    ``{exponent: {index: int}}`` with no empty coefficient, so every
+    update is integer arithmetic on one flat dict.  While every pivot's
+    lead entry is a unit +-q^a, normalising it needs no division and all
+    vectors stay in Z[q, q^-1]; ``insert`` raises NonUnitPivot at the
+    first lead entry that is anything else."""
+
+    @staticmethod
+    def _copy(vec: dict) -> dict:
+        return {e: dict(s) for e, s in vec.items()}
+
+    @staticmethod
+    def _lead(vec: dict) -> int:
+        return min(min(s) for s in vec.values())
+
+    @staticmethod
+    def _subtract(vec: dict, lead: int, basis_vec: dict):
+        c = [(a, s[lead]) for a, s in vec.items() if lead in s]
+        for a, x in c:
+            for b, p in basis_vec.items():
+                s = vec.get(a + b)
+                if s is None:
+                    vec[a + b] = {j: -x * y for j, y in p.items()}
+                    continue
+                for j, y in p.items():
+                    t = s.get(j, 0) - x * y
+                    if t:
+                        s[j] = t
+                    else:
+                        del s[j]
+                if not s:
+                    del vec[a + b]
+
+    @staticmethod
+    def _normalise(vec: dict, lead: int) -> dict:
+        c = [(a, s[lead]) for a, s in vec.items() if lead in s]
+        if len(c) != 1 or c[0][1] not in (1, -1):
+            raise NonUnitPivot
+        ((a, x),) = c
+        return {e - a: {j: x * y for j, y in s.items()} for e, s in vec.items()}
+
+
+def _laurent_slices(g: Mat):
+    """g as {exponent: {row: [(column, int), ...]}}, the coefficients of
+    its powers of q, or None if an entry's denominator is not a monic
+    power of q."""
+    out: dict = {}
+    for k, r in g.rows.items():
+        for j, v in r.items():
+            p = v.laurent()
+            if p is None:
+                return None
+            for b, y in p.items():
+                out.setdefault(b, {}).setdefault(k, []).append((j, y))
+    return out
+
+
+def _laurent_product(vec: dict, g: dict, n: int) -> dict:
+    """The LaurentSpan vector of (vec as an n x n matrix) @ g, with g
+    from _laurent_slices."""
+    out: dict = {}
+    for e, s in vec.items():
+        for b, gb in g.items():
+            acc = out.get(e + b)
+            if acc is None:
+                acc = out[e + b] = {}
+            for idx, x in s.items():
+                k = idx % n
+                row = gb.get(k)
+                if row is None:
+                    continue
+                base = idx - k
+                for j, y in row:
+                    acc[base + j] = acc.get(base + j, 0) + x * y
+    for e, acc in list(out.items()):
+        if 0 in acc.values():
+            acc = out[e] = {j: x for j, x in acc.items() if x}
+        if not acc:
+            del out[e]
+    return out
+
+
+def _rational_product(vec: dict, g: Mat, n: int) -> dict:
+    """The flattened (vec as an n x n matrix) @ g over Q(q)."""
+    rows: dict = {}
+    for idx, v in vec.items():
+        rows.setdefault(idx // n, {})[idx % n] = v
+    return (Mat(n, rows) @ g).flatten()
+
+
+def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int) -> int:
+    """Breadth-first saturation: from the identity, each basis vector, in
+    the order found, is multiplied by every generator in turn, and each
+    product outside the span is inserted and queued."""
+    basis = [span.insert(identity)]
+    i = 0
+    while i < len(basis):
+        for g in generators:
+            vec = span.insert(product(basis[i], g, n))
+            if vec:
+                basis.append(vec)
+        i += 1
+    return len(span)
+
+
+def rational_span_dimension(generators: list[Mat], n: int) -> int:
+    """span_dimension computed over Q(q) throughout: the general path,
+    and the oracle the ring path is tested against."""
+    identity = {i * (n + 1): RF_ONE for i in range(n)}
+    return _saturate(RowSpan(), identity, generators, _rational_product, n)
 
 
 def span_dimension(generators: list[Mat], n: int) -> int:
@@ -230,24 +376,24 @@ def span_dimension(generators: list[Mat], n: int) -> int:
     product falls outside the current span it is appended (after pivot
     normalization) and later multiplied by every generator in turn.
     Terminates since the span dimension is at most n^2.
+
+    Which path runs: when every generator entry is a Laurent polynomial
+    (its denominator a monic power of q), the ring path saturates in a
+    LaurentSpan over Z[q, q^-1].  It is exact and gives the Q(q) answer:
+    it meets the same candidates in the same order as the Q(q) path and
+    applies the same pivot rule, and while every pivot's lead entry is a
+    unit +-q^a, normalising by its inverse keeps every vector in
+    Z[q, q^-1] and equal, entry for entry, to the Q(q) path's vector; so
+    every dependence decision is the same.  A lead entry that is not a
+    unit raises NonUnitPivot, and the computation starts again from the
+    identity on the Q(q) path (rational_span_dimension), which also runs
+    at once when some generator entry has another denominator.
     """
-    span = RowSpan()
-    basis_mats: list[Mat] = []
-
-    def try_add(m: Mat):
-        vec = span.insert(m.flatten())
-        if not vec:
-            return
-        rows: dict = {}
-        for idx, v in vec.items():
-            rows.setdefault(idx // n, {})[idx % n] = v
-        basis_mats.append(Mat(n, rows))
-
-    try_add(Mat.identity(n))
-    i = 0
-    while i < len(basis_mats):
-        m = basis_mats[i]
-        for g in generators:
-            try_add(m @ g)
-        i += 1
-    return len(span)
+    slices = [_laurent_slices(g) for g in generators]
+    if all(s is not None for s in slices):
+        identity = {0: {i * (n + 1): 1 for i in range(n)}}
+        try:
+            return _saturate(LaurentSpan(), identity, slices, _laurent_product, n)
+        except NonUnitPivot:
+            pass
+    return rational_span_dimension(generators, n)

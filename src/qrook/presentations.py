@@ -531,6 +531,8 @@ def semisimple_cyclotomic(u, k: int, q0=None) -> bool:
 
 def semisimple_rook(k: int, q0=None) -> bool:
     """True iff the quantum factorial of k is nonzero at q."""
+    if k < 1:
+        raise InvalidArgument("k must be >= 1")
     if q0 is None:
         return True
     q0 = Fraction(q0)

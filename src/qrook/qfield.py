@@ -413,6 +413,14 @@ class RatFunc:
 
     # -- misc ------------------------------------------------------------
 
+    def laurent(self):
+        """{exponent: coefficient} when the denominator is a monic power
+        of q (self is then a Laurent polynomial), otherwise None."""
+        e = _monic_monomial_degree(self.den)
+        if e < 0:
+            return None
+        return {i - e: c for i, c in enumerate(self.num) if c}
+
     def specialize(self, q0) -> Fraction:
         q0 = Fraction(q0)
         d = poly_eval(self.den, q0)

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qrook.cli import main, parse_q, parse_u_list
 from qrook.errors import InvalidArgument
 from qrook.qfield import Q, as_ratfunc
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -189,6 +196,11 @@ def test_error_exit_code(capsys):
         ["semisimple", "--family", "cyclo", "--k", "2", "--u", "1/0"],  # zero denominator
         ["tableaux", "--multi="],  # empty spec
         ["schurweyl", "--m=--", "--k", "1", "--u", "0,1"],  # argparse gives a list
+        ["semisimple", "--family", "cyclo", "--k", "-1", "--u", "1,2"],  # size <= 0
+        ["semisimple", "--family", "aAlg", "--k", "0", "--u", "1,2"],
+        ["semisimple", "--family", "rook", "--k", "0"],
+        ["dims", "--rook", "-1"],
+        ["dims", "--rook", "0"],
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(capsys, argv):
@@ -204,3 +216,20 @@ def test_verify_aalg_specialised_passes(capsys):
     code, out = run(capsys, "verify", "--family", "aAlg", "--k", "3", "--q", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # the reader closes the pipe before qrook writes, as `| head` can
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrook.cli", "dims", "--rook", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

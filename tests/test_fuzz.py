@@ -102,6 +102,16 @@ _ARGV = st.one_of(
 )
 
 
+_SIZE_FLAG = {"semisimple": "--k", "verify": "--k", "dims": "--rook"}
+
+
+def _size(argv):
+    """The size semisimple, verify and dims are asked for (1 for other
+    commands): a size <= 0 is a degenerate parameter, exit 2."""
+    flag = _SIZE_FLAG.get(argv[0])
+    return int(argv[argv.index(flag) + 1]) if flag else 1
+
+
 @settings(deadline=None, max_examples=300)
 @given(_ARGV)
 def test_main_exit_code_contract(argv):
@@ -109,6 +119,8 @@ def test_main_exit_code_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    if _size(argv) <= 0:
+        assert code == 2
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
