@@ -8,20 +8,29 @@ positive leading coefficient.  Equality of field elements is equality of
 representations.  Negative powers of q live in the fraction field
 (q^-1 is stored as 1/q).
 
-Canonicalisation uses integer arithmetic only.  The gcd of numerator and
-denominator (after stripping powers of q and taking primitive parts) is
-first tested for coprimality modulo the prime p = 2^61 - 1: when p
-divides neither leading coefficient, the degree of the gcd over Q is at
-most the degree of the gcd mod p, so degree 0 mod p proves the gcd is 1.
-Most calls end there.  Otherwise, and whenever p divides a leading
-coefficient, the gcd comes from the primitive pseudo-remainder sequence,
-and both parts are divided by it with exact integer long division.
-``Fraction`` appears only in specialisation at a rational q and in
-conversion from rationals (``RatFunc.from_fraction``, ``as_ratfunc``).
+Canonicalisation uses integer arithmetic only.  After common powers of
+q are cancelled, the gcd of numerator and denominator comes from the
+primitive pseudo-remainder sequence, and both parts are divided by it
+with exact integer long division.  ``Fraction`` appears only in
+specialisation at a rational q and in conversion from rationals
+(``RatFunc.from_fraction``, ``as_ratfunc``).
+
+Sums and products of two RatFuncs are memoised: ``+`` looks its operands
+up in ``_SUMS`` and ``*`` in ``_PRODUCTS``, keyed on
+``(a.num, a.den, b.num, b.den)``.  Seminormal matrices are built from a
+few box contents, so a relation suite repeats the same few field
+operations tens of thousands of times.  A hit is exact: every RatFunc is
+canonical and immutable (it has ``__slots__`` and only ``__init__``
+assigns ``num`` and ``den``), so equal keys mean equal operands and the
+stored result is the value the operation would compute again.  A table
+is emptied once it holds ``MEMO_LIMIT`` entries, which bounds its
+memory.  Operands that are not RatFuncs (ints, Fractions, strings)
+bypass the tables.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd
@@ -138,42 +147,6 @@ def poly_primitive(a):
     return tuple(x // c for x in a)
 
 
-# A prime for the coprimality certificate; reduction mod 2^61 - 1 keeps
-# every product of two residues within a few machine words.
-GCD_PRIME = (1 << 61) - 1
-
-
-def _gcd_degree_mod_p(a, b):
-    """Degree of gcd(a mod p, b mod p) over GF(p), p = GCD_PRIME.
-
-    Both leading coefficients must be nonzero mod p, so the reductions
-    keep their degrees."""
-    p = GCD_PRIME
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        db = len(b) - 1
-        if db == 0:
-            return 0
-        inv = pow(b[-1], -1, p)
-        b = [x * inv % p for x in b]  # monic, so each step cancels exactly
-        r = a
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k] % p
-            if c:
-                s = k - db
-                for i in range(db):
-                    r[s + i] -= c * b[i]
-        r = [x % p for x in r[:db]]
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return db
-        a, b = b, r
-
-
 def _poly_prem(a, b):
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
     db = len(b) - 1
@@ -205,22 +178,12 @@ def _poly_gcd_shifted(a, b, v):
     times q^v.
 
     The result is primitive with positive leading coefficient.  Integer
-    arithmetic only.  When p = GCD_PRIME divides neither leading
-    coefficient, the degree of gcd(a, b) mod p is computed first; if it
-    is 0, the gcd over Q is 1.  This is a proof, not a heuristic: the
-    primitive gcd g divides a in Z[q], so lc(g) divides lc(a) and g keeps
-    its degree mod p, where it divides both a and b; hence deg g is at
-    most the degree of the gcd mod p.  Otherwise the gcd comes from the
-    primitive pseudo-remainder sequence.
+    arithmetic only: the gcd comes from the primitive pseudo-remainder
+    sequence.
     """
     a = poly_primitive(poly_shift(a, -poly_valuation(a)))
     b = poly_primitive(poly_shift(b, -poly_valuation(b)))
-    if len(a) == 1 or len(b) == 1:
-        g = P_ONE
-    elif a[-1] % GCD_PRIME and b[-1] % GCD_PRIME and not _gcd_degree_mod_p(a, b):
-        g = P_ONE
-    else:
-        g = _poly_gcd_prs(a, b)
+    g = P_ONE if len(a) == 1 or len(b) == 1 else _poly_gcd_prs(a, b)
     return poly_shift(g, v)
 
 
@@ -283,6 +246,34 @@ def poly_from_string(s: str):
     return poly_trim(out)
 
 
+# A memo table is emptied once it holds this many entries.
+MEMO_LIMIT = 1 << 16
+_SUMS: dict = {}
+_PRODUCTS: dict = {}
+
+
+def _memoised(table):
+    """Memoise a binary RatFunc operation in ``table`` when both operands
+    are RatFuncs (see the module docstring for why a hit is exact)."""
+
+    def decorate(op):
+        @functools.wraps(op)
+        def wrapped(self, other):
+            if not isinstance(other, RatFunc):
+                return op(self, other)
+            key = (self.num, self.den, other.num, other.den)
+            out = table.get(key)
+            if out is None:
+                if len(table) >= MEMO_LIMIT:
+                    table.clear()
+                out = table[key] = op(self, other)
+            return out
+
+        return wrapped
+
+    return decorate
+
+
 class RatFunc:
     """A canonical element of the field Q(q)."""
 
@@ -338,6 +329,7 @@ class RatFunc:
 
     # -- field operations ----------------------------------------------
 
+    @_memoised(_SUMS)
     def __add__(self, other):
         if not isinstance(other, RatFunc):
             other = as_ratfunc(other)
@@ -370,6 +362,7 @@ class RatFunc:
     def __rsub__(self, other):
         return as_ratfunc(other) + (-self)
 
+    @_memoised(_PRODUCTS)
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
             other = as_ratfunc(other)
@@ -436,6 +429,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # equal to hash(n) for the integer constant n, since it == n
+        if self.den == P_ONE and len(self.num) < 2:
+            return hash(self.num[0] if self.num else 0)
         return hash((self.num, self.den))
 
     def __str__(self):

@@ -82,6 +82,11 @@ CORPUS = [
         ["schurweyl", "--m", "1,1", "--k", "4", "--u", "1,3"],
         "edc178ad672f82a818f0a35dbc4d06f77fea77da238c41e3a26a411fae185c5b",
     ),
+    # the restart over Q(q) at k = 5: about 24,000 gcds, 2 in 5 non-trivial
+    (
+        ["schurweyl", "--m", "1,1", "--k", "5", "--u", "1,3"],
+        "0bc89f4b3c9112c108951244eae021d76788958bb7816e447dc6479efc4509bd",
+    ),
 ]
 
 

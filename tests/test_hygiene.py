@@ -1,4 +1,5 @@
-"""Source hygiene: no qrook module imports a name it never uses."""
+"""Source hygiene: no qrook module imports a name it never uses, and
+nothing can change a RatFunc after ``RatFunc.__init__``."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qrook"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+RATFUNC_FIELDS = {"num", "den"}
+ATTRIBUTE_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +36,67 @@ def test_detector_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def field_writes(source: str) -> list:
+    """Places that could change a RatFunc after it is built: an assignment
+    to, or deletion of, an attribute named ``num`` or ``den`` anywhere but
+    ``RatFunc.__init__``, and every call of ``setattr``, ``delattr``,
+    ``object.__setattr__`` or ``object.__delattr__``.  qrook needs none of
+    those calls, and a static check cannot tell whether one targets a
+    RatFunc.  The memo tables in ``qfield`` are exact only while this list
+    is empty."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            where = f"{'.'.join(scope) or '<module>'} (line {getattr(child, 'lineno', '?')})"
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in RATFUNC_FIELDS
+                and not isinstance(child.ctx, ast.Load)
+                and scope != ("RatFunc", "__init__")
+            ):
+                found.append(f"{where}: .{child.attr}")
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ATTRIBUTE_SETTERS:
+                    found.append(f"{where}: {name}()")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_detector_sees_field_writes():
+    source = (
+        "class RatFunc:\n"
+        "    def __init__(self, num, den):\n"
+        "        self.num = num\n"
+        "        self.den = den\n"
+        "def f(r, rs):\n"
+        "    r.num = ()\n"
+        "    r.den += (1,)\n"
+        "    for r.num in rs: pass\n"
+        "    del r.den\n"
+        "    object.__setattr__(r, 'num', ())\n"
+        "    return r.num, r.den\n"
+        "setattr(R, 'den', ())\n"
+    )
+    assert field_writes(source) == [
+        "f (line 6): .num",
+        "f (line 7): .den",
+        "f (line 8): .num",
+        "f (line 9): .den",
+        "f (line 10): __setattr__()",
+        "<module> (line 12): setattr()",
+    ]
+
+
+def test_ratfunc_fields_are_assigned_only_in_init():
+    found = [f"{p.name}: {w}" for p in sorted(SRC.glob("*.py")) for w in field_writes(p.read_text())]
+    assert found == []

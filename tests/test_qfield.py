@@ -1,17 +1,17 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrook import qfield
 from qrook.errors import DivisionByZero, InvalidArgument, PoleAtPoint
 from qrook.qfield import (
-    GCD_PRIME,
     Q,
     QINV,
     RF_ONE,
     RF_ZERO,
     RatFunc,
-    _gcd_degree_mod_p,
     _poly_gcd_shifted,
     as_ratfunc,
     poly_add,
@@ -156,16 +156,13 @@ def test_poly_divexact():
         poly_divexact((1, 1), ())
 
 
-def test_gcd_degree_mod_p():
-    a = poly_mul((1, 1), (2, 0, 1))  # (q+1)(q^2+2)
-    b = poly_mul((1, 1), (3, 1))  # (q+1)(q+3)
-    assert _gcd_degree_mod_p(a, b) == 1
-    assert _gcd_degree_mod_p((2, 0, 1), (3, 1)) == 0
-    # q + 1 and q + 1 + p are coprime over Q but equal mod p
-    assert _gcd_degree_mod_p((1, 1), (1 + GCD_PRIME, 1)) == 1
+# A prime far larger than any coefficient the other strategies draw:
+# leading coefficients that are multiples of it make the pseudo-remainder
+# sequence carry large integers.
+BIG_PRIME = (1 << 61) - 1
 
 
-@pytest.mark.parametrize("lead", [1, GCD_PRIME, -2 * GCD_PRIME])
+@pytest.mark.parametrize("lead", [1, BIG_PRIME, -2 * BIG_PRIME])
 def test_gcd_with_leading_coefficient_divisible_by_prime(lead):
     g = (1, 1)
     a = poly_mul(g, (1, 0, lead))
@@ -177,7 +174,7 @@ def test_gcd_with_leading_coefficient_divisible_by_prime(lead):
 
 _LEADS = st.one_of(
     st.integers(-4, 4).filter(bool),
-    st.sampled_from([GCD_PRIME, -GCD_PRIME, 3 * GCD_PRIME]),
+    st.sampled_from([BIG_PRIME, -BIG_PRIME, 3 * BIG_PRIME]),
 )
 
 
@@ -211,7 +208,7 @@ def _sympy_canonical(sympy, num, den):
 @given(_nonzero_polys(), _nonzero_polys(), _nonzero_polys(), st.integers(0, 2))
 def test_canonical_form_matches_sympy(g, a, b, shift):
     """RatFunc(g*a, g*b) agrees with sympy.cancel, including inputs whose
-    leading coefficients are multiples of the certificate prime."""
+    leading coefficients are multiples of a large prime."""
     sympy = pytest.importorskip("sympy")
     num = poly_shift(poly_mul(g, a), shift)
     den = poly_mul(g, b)
@@ -247,3 +244,82 @@ def test_q_power_fast_path_exact_cases():
     assert RatFunc((0, 3), (0, 0, 1)) + RatFunc((0, -3), (0, 0, 1)) == RF_ZERO
     # (1 + q^2)/q + (q - 1) = (2q^2 - q + 1)/q
     assert QINV * (1 + Q * Q) + (Q - 1) == RatFunc((1, -1, 2), (0, 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2, 10**30])
+def test_integer_constants_hash_like_ints(n):
+    r = RatFunc.from_int(n)
+    assert r == n and hash(r) == hash(n)
+    assert n in {r} and r in {n}
+
+
+# -- the memo tables of + and * -------------------------------------------
+
+
+def _empty_tables():
+    qfield._SUMS.clear()
+    qfield._PRODUCTS.clear()
+
+
+def _fresh(op, a, b):
+    """op(a, b) computed with both memo tables emptied first."""
+    _empty_tables()
+    return op(a, b)
+
+
+_dens = st.one_of(
+    _polys.filter(any),
+    st.integers(0, 4).map(lambda e: poly_shift((1,), e)),  # q^e
+    st.tuples(st.sampled_from([2, -3]), st.integers(0, 3)).map(
+        lambda ce: poly_shift((ce[0],), ce[1])  # c*q^e, not monic
+    ),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_polys, min_size=2, max_size=2), st.lists(_dens, min_size=2, max_size=2))
+def test_memo_agrees_with_emptied_tables(nums, dens):
+    """Sums and products among operands that share numerators or
+    denominators equal the values computed with the tables emptied first,
+    both when first stored and when looked up again."""
+    operands = [RatFunc(n, d) for n in nums for d in dens]
+    pairs = [(a, b) for a in operands for b in operands]
+    for op in (operator.add, operator.mul):
+        stored = [op(a, b) for a, b in pairs]
+        looked_up = [op(a, b) for a, b in pairs]
+        for (a, b), x, y in zip(pairs, stored, looked_up):
+            z = _fresh(op, a, b)
+            assert (x.num, x.den) == (y.num, y.den) == (z.num, z.den)
+
+
+@pytest.mark.parametrize(
+    "op,table", [(operator.add, "_SUMS"), (operator.mul, "_PRODUCTS")]
+)
+def test_repeated_operation_returns_the_stored_canonical_result(op, table):
+    a = RatFunc((1, 2), (3, 0, 1))
+    b = RatFunc((0, 1), (1, 1))
+    first = _fresh(op, a, b)
+    assert len(getattr(qfield, table)) == 1
+    again = op(a, b)
+    assert again is first
+    canonical = RatFunc(again.num, again.den)
+    assert (canonical.num, canonical.den) == (again.num, again.den)
+
+
+def test_tables_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(qfield, "MEMO_LIMIT", 8)
+    x = RatFunc((1, 1), (2, 0, 1))
+    for i in range(1, 60):
+        c = RatFunc((i, 1), (1, 0, i))
+        assert x * c == RatFunc.__mul__.__wrapped__(x, c)
+        assert x + c == RatFunc.__add__.__wrapped__(x, c)
+        assert 0 < len(qfield._PRODUCTS) <= 8 and 0 < len(qfield._SUMS) <= 8
+
+
+def test_non_ratfunc_operands_bypass_the_tables():
+    rf = RatFunc((1, 1), (0, 2, 1))  # (q + 1)/(q^2 + 2q)
+    _empty_tables()
+    assert rf * 3 == RatFunc((3, 3), (0, 2, 1))
+    assert 3 + rf == RatFunc((1, 7, 3), (0, 2, 1))
+    assert rf + Fraction(1, 2) == RatFunc((2, 4, 1), (0, 4, 2))
+    assert not qfield._SUMS and not qfield._PRODUCTS
