@@ -180,7 +180,16 @@ class Mat:
         return str(self.rows[i][j])
 
     def to_json(self):
-        return [[str(v) for v in row] for row in self.to_dense()]
+        """Every entry as an exact string, row by row.  Only stored entries
+        are rendered, so the cost follows the nonzeros, not n^2."""
+        zeros = ["0"] * self.n
+        out = []
+        for i in range(self.n):
+            row = zeros.copy()
+            for j, v in self.rows.get(i, {}).items():
+                row[j] = str(v)
+            out.append(row)
+        return out
 
 
 def hecke_inverse(t: Mat, qval: RatFunc, qinv: RatFunc) -> Mat:

@@ -11,9 +11,10 @@ representations.  Negative powers of q live in the fraction field
 Canonicalisation uses integer arithmetic only.  After common powers of
 q are cancelled, the gcd of numerator and denominator comes from the
 primitive pseudo-remainder sequence, and both parts are divided by it
-with exact integer long division.  ``Fraction`` appears only in
-specialisation at a rational q and in conversion from rationals
-(``RatFunc.from_fraction``, ``as_ratfunc``).
+with exact integer long division.  ``Fraction`` appears only in the
+result of specialisation at a rational q (``poly_eval`` itself runs on
+integers) and in conversion from rationals (``RatFunc.from_fraction``,
+``as_ratfunc``).
 
 Sums and products of two RatFuncs are memoised: ``+`` looks its operands
 up in ``_SUMS`` and ``*`` in ``_PRODUCTS``, keyed on
@@ -101,10 +102,17 @@ def poly_shift(a, e):
 
 
 def poly_eval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+    """a(x) exactly.  With x = n/b in lowest terms and d = deg a, Horner's
+    rule in integers gives N = sum a_i n^i b^(d-i), and a(x) = N / b^d is
+    the one Fraction built."""
+    if not a:
+        return Fraction(0)
+    n, b = x.numerator, x.denominator
+    acc, scale = 0, 1  # scale = b^i after i coefficients
     for c in reversed(a):
-        acc = acc * x + c
-    return acc
+        acc = acc * n + c * scale
+        scale *= b
+    return Fraction(acc, scale // b)
 
 
 def poly_divexact(a, b):

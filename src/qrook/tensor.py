@@ -169,12 +169,13 @@ def phiP(k: int, basis: GradedBasis, u) -> dict:
 def verify_phiP(k: int, basis: GradedBasis, u) -> dict:
     """Verify the tensor-space action against the cyclotomic suite and,
     in the two-component rook specialization (m_1 = 1, u = (0,1)), the
-    quotient-algebra suite and the identity X_1 = d_1."""
+    quotient-algebra suite and the identity X_1 = d_1.  The verified
+    assignment ``phiP(k, basis, u)`` is returned under "assignment"."""
     u = [as_ratfunc(x) for x in u]
     asg = phiP(k, basis, u)
     full = tower_x_matrices(asg, k)
     cyc = verify(full, relations_cyclotomic(k, u))
-    reports = {"cyclotomic": cyc}
+    reports = {"cyclotomic": cyc, "assignment": asg}
     rook_case = (
         basis.r == 2
         and basis.dims[0] == 1

@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from qrook.cli import main, parse_q, parse_u_list
+from qrook.cli import _emit, main, parse_q, parse_u_list
 from qrook.errors import InvalidArgument
 from qrook.qfield import Q, as_ratfunc
 
@@ -142,6 +143,55 @@ def test_schurweyl(capsys):
         "dimension": 7,
         "predicted": 7,
     }
+
+
+# at these u the relation suites pass but the word span is smaller than
+# the semisimple prediction; the printed verdict must say so too
+@pytest.mark.parametrize("u,k", [("1,1", "2"), ("1,q^2", "3")])
+def test_schurweyl_passed_matches_exit_code(capsys, u, k):
+    code, out = run(capsys, "schurweyl", "--m", "1,1", "--k", k, "--u", u)
+    data = json.loads(out)
+    assert data["cyclotomic"]["passed"] is True
+    assert data["centralizer"]["agree"] is False
+    assert data["passed"] is False
+    assert code == 1
+
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(["", '"', "\\", '"\\"', "\x00\x1f\n\t", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(10**40), 10**40),
+        _STRINGS,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(_STRINGS, max_size=5),
+        st.dictionaries(_STRINGS, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_JSON)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[]], "d": [{}]})
+@example(["0", "q", "(1)/(q)"])
+@example([["0"], ["1", "-1"], [], [0, "x"]])
+def test_emit_equals_json_dumps(payload):
+    assert _emit(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [1.5, (1, 2), {1: "a"}, {"a": [0.5]}, [b"x"], {"a": {None: 1}}])
+def test_emit_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        _emit(payload)
 
 
 def test_semisimple(capsys):

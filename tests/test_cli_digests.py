@@ -87,6 +87,16 @@ CORPUS = [
         ["schurweyl", "--m", "1,1", "--k", "5", "--u", "1,3"],
         "0bc89f4b3c9112c108951244eae021d76788958bb7816e447dc6479efc4509bd",
     ),
+    # nested int lists in the JSON writer's general path
+    (
+        ["bratteli", "--family", "B", "--levels", "4"],
+        "e3ba4dc5dcae232fa53fa60b4d3d7d8c019f63b36c836d2b897499a91105f1bc",
+    ),
+    # specialisation at a q0 that is not an integer
+    (
+        ["verify", "--family", "aAlg", "--k", "4", "--u", "1,3", "--q", "1/2"],
+        "ab054ee42d8aa9949af7c817c1578d5a0059cd80ee465507357c47ba6b78aef5",
+    ),
 ]
 
 

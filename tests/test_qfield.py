@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrook import qfield
 from qrook.errors import DivisionByZero, InvalidArgument, PoleAtPoint
@@ -16,6 +16,7 @@ from qrook.qfield import (
     as_ratfunc,
     poly_add,
     poly_divexact,
+    poly_eval,
     poly_mul,
     poly_shift,
     poly_trim,
@@ -66,6 +67,32 @@ def test_specialize_values():
     assert specialize(Q - QINV, Fraction(1)) == 0
     with pytest.raises(PoleAtPoint):
         specialize(RatFunc((1,), (-1, 1)), Fraction(1))  # 1/(q-1) at q=1
+    with pytest.raises(PoleAtPoint):
+        specialize(RatFunc((1,), (-1, 2)), Fraction(1, 2))  # 1/(2q-1) at q=1/2
+    assert specialize(RatFunc((1,), (-1, 2)), Fraction(-3, 2)) == Fraction(-1, 4)
+
+
+def _poly_eval_fraction_horner(a, x):
+    """The reference: Horner's rule with a Fraction accumulator."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+@given(
+    st.lists(st.integers(-(10**12), 10**12), max_size=9).map(tuple),
+    st.one_of(st.integers(-30, 30), st.fractions(max_denominator=60)),
+)
+@example((), Fraction(3, 4))
+@example((5, 0, -2), 0)
+@example((0, 0, 1), Fraction(-7, 3))
+@example((1, 2, 0), Fraction(1, 2))  # a zero leading coefficient
+def test_poly_eval_matches_fraction_horner(a, x):
+    x = Fraction(x)
+    got = poly_eval(a, x)
+    assert type(got) is Fraction
+    assert got == _poly_eval_fraction_horner(a, x)
 
 
 def test_string_round_trip():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from qrook.errors import DegenerateContent, InvalidArgument
 from qrook.linalg import Mat
@@ -121,3 +122,18 @@ def test_dimension_sum(k, r):
 
 def test_factorial_guard_is_symbolically_fine():
     assert not quantum_factorial(4).is_zero()
+
+
+_ENTRIES = st.sampled_from([as_ratfunc(0), as_ratfunc(1), as_ratfunc(-3), Q, -QINV, Q - QINV, (Q + 1).inv()])
+
+
+@st.composite
+def _sparse_matrices(draw):
+    n = draw(st.integers(0, 6))
+    flat = draw(st.lists(st.one_of(st.just(as_ratfunc(0)), _ENTRIES), min_size=n * n, max_size=n * n))
+    return Mat.from_dense([flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+@given(_sparse_matrices())
+def test_to_json_renders_every_dense_entry(m):
+    assert m.to_json() == [[str(v) for v in row] for row in m.to_dense()]

@@ -133,6 +133,9 @@ def test_closed_form_count_large_shapes():
     assert count_standard_tableaux(((2,), (1, 1))) == 6
     assert count_standard_tableaux(SkewShape((3, 3), (1,))) == 5
     assert count_standard_tableaux(SkewShape((2, 2), (2, 2))) == 1
+    # lists from a library caller, although the determinant is cached on tuples
+    assert count_standard_tableaux([5, 4, 3, 2, 1]) == 292864
+    assert count_standard_tableaux([(2,), [1, 1]]) == 6
 
 
 def test_tableaux_canonical_order():

@@ -144,6 +144,7 @@ def test_phiP_suites_and_rook_identity(n, k):
     assert reports["passed"]
     assert reports["rook_identity"] is True
     assert reports["cyclotomic"].passed
+    assert reports["assignment"] == phiP(k, basis, U01)
 
 
 def test_phiP_negative_control_corrupt_d():
