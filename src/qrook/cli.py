@@ -333,8 +333,34 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# options whose value may start with "-": a negative number, a fraction
+# or a list such as -1,3
+SIGNED_VALUE_OPTIONS = ("--u", "--q", "--u1")
+
+
+def _join_signed_values(argv: list) -> list:
+    """argv with `--u -1,3` written as `--u=-1,3`: argparse reads a value
+    that starts with "-" and is not a plain number as an option name and
+    fails with "expected one argument", while the `=` form works.  A
+    following option name (`--...` or `-h`) is left alone."""
+    out = []
+    for tok in argv:
+        if (
+            out
+            and out[-1] in SIGNED_VALUE_OPTIONS
+            and tok.startswith("-")
+            and not tok.startswith("--")
+            and tok != "-h"
+        ):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         # argparse before Python 3.13 reads "--opt=--" as an empty list
         for name, value in vars(args).items():

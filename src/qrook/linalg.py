@@ -12,6 +12,15 @@ ring, the candidates and the pivot rule are those of the Q(q) path, so
 the vectors and every dependence decision are the same.  Otherwise, or at
 the first lead entry that is not a unit, it runs from the start over Q(q)
 (``RowSpan``), the general path and the oracle of record.
+
+The ring path compiles each generator once into rows
+``{k: ((j - k, exponent, int), ...)}``, so a product costs one row lookup
+per term of the vector, and ``RowSpan.reduce`` works in place on the
+fresh product.  Both paths leave out the product b g when the basis
+vector b was found from a product a g and g satisfies
+g^2 = alpha g + beta (a Hecke generator, an idempotent): then
+b g = c (alpha a g + beta a - sum of multiples of b_m g for earlier basis
+vectors b_m), already in the span, so the pivots are unchanged.
 """
 
 from __future__ import annotations
@@ -205,16 +214,15 @@ class RowSpan:
 
     Each pivot is stored under its leftmost column and normalised so that
     its entry there is exactly 1.  ``reduce`` and ``insert`` are written
-    once; how a vector is stored is left to ``_copy``, ``_lead``,
-    ``_subtract`` and ``_normalise``, which :class:`LaurentSpan`
-    overrides."""
+    once; how a vector is stored is left to ``_lead``, ``_subtract`` and
+    ``_normalise``, which :class:`LaurentSpan` overrides."""
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}  # pivot index -> normalized vector
 
     def reduce(self, vec: dict) -> dict:
-        """A reduced copy of vec: its lead column holds no pivot."""
-        vec = self._copy(vec)
+        """Reduce vec in place until its lead column holds no pivot, and
+        return it; the caller hands over a vector nothing else holds."""
         pivots = self.pivots
         while vec:
             lead = self._lead(vec)
@@ -225,8 +233,8 @@ class RowSpan:
         return vec
 
     def insert(self, vec: dict) -> dict:
-        """Reduce and insert; returns the normalized vector that was
-        added, or an empty dict if the vector was dependent."""
+        """Reduce vec (in place) and insert it; returns the normalized
+        vector that was added, or an empty dict if vec was dependent."""
         vec = self.reduce(vec)
         if not vec:
             return vec
@@ -238,7 +246,6 @@ class RowSpan:
     def __len__(self):
         return len(self.pivots)
 
-    _copy = staticmethod(dict)
     _lead = staticmethod(min)
 
     @staticmethod
@@ -274,10 +281,6 @@ class LaurentSpan(RowSpan):
     first lead entry that is anything else."""
 
     @staticmethod
-    def _copy(vec: dict) -> dict:
-        return {e: dict(s) for e, s in vec.items()}
-
-    @staticmethod
     def _lead(vec: dict) -> int:
         return min(min(s) for s in vec.values())
 
@@ -308,38 +311,37 @@ class LaurentSpan(RowSpan):
         return {e - a: {j: x * y for j, y in s.items()} for e, s in vec.items()}
 
 
-def _laurent_slices(g: Mat):
-    """g as {exponent: {row: [(column, int), ...]}}, the coefficients of
-    its powers of q, or None if an entry's denominator is not a monic
-    power of q."""
+def _compile(g: Mat):
+    """g as rows {k: ((j - k, exponent, int), ...)}: row k of g with each
+    entry split into the integer coefficients of its powers of q, or None
+    if an entry's denominator is not a monic power of q."""
     out: dict = {}
     for k, r in g.rows.items():
+        row = out[k] = []
         for j, v in r.items():
             p = v.laurent()
             if p is None:
                 return None
-            for b, y in p.items():
-                out.setdefault(b, {}).setdefault(k, []).append((j, y))
-    return out
+            row.extend((j - k, b, y) for b, y in p.items())
+    return {k: tuple(row) for k, row in out.items()}
 
 
-def _laurent_product(vec: dict, g: dict, n: int) -> dict:
+def _laurent_product(vec: dict, rows: dict, n: int) -> dict:
     """The LaurentSpan vector of (vec as an n x n matrix) @ g, with g
-    from _laurent_slices."""
+    compiled by _compile: flat index i*n + k times g[k][j] lands on
+    i*n + j, one row lookup per term of vec."""
     out: dict = {}
     for e, s in vec.items():
-        for b, gb in g.items():
-            acc = out.get(e + b)
-            if acc is None:
-                acc = out[e + b] = {}
-            for idx, x in s.items():
-                k = idx % n
-                row = gb.get(k)
-                if row is None:
-                    continue
-                base = idx - k
-                for j, y in row:
-                    acc[base + j] = acc.get(base + j, 0) + x * y
+        for idx, x in s.items():
+            row = rows.get(idx % n)
+            if row is None:
+                continue
+            for d, b, y in row:
+                acc = out.get(e + b)
+                if acc is None:
+                    out[e + b] = {idx + d: x * y}
+                else:
+                    acc[idx + d] = acc.get(idx + d, 0) + x * y
     for e, acc in list(out.items()):
         if 0 in acc.values():
             acc = out[e] = {j: x for j, x in acc.items() if x}
@@ -356,26 +358,63 @@ def _rational_product(vec: dict, g: Mat, n: int) -> dict:
     return (Mat(n, rows) @ g).flatten()
 
 
-def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int) -> int:
+def _is_quadratic(g: Mat) -> bool:
+    """Whether g @ g == alpha g + beta for some scalars alpha, beta.
+
+    alpha and beta are read from entries: from an off-diagonal nonzero
+    (i, j) of g, alpha = (g @ g)[i, j] / g[i, j] and beta = (g @ g)[i, i]
+    - alpha g[i, i]; for a diagonal g, from its first two distinct
+    diagonal values d, e (padded with 0), alpha = d + e and beta = -d e.
+    The identity itself is then checked exactly."""
+    g2 = g @ g
+    off = next(((i, j) for i, r in g.rows.items() for j in r if j != i), None)
+    if off is not None:
+        i, j = off
+        alpha = g2.get(i, j) / g.get(i, j)
+        beta = g2.get(i, i) - alpha * g.get(i, i)
+    else:
+        d, e = (list(dict.fromkeys(g.get(i, i) for i in range(g.n))) + [RF_ZERO] * 2)[:2]
+        alpha, beta = d + e, -(d * e)
+    return g2 == g.scale(alpha).add_scalar(beta)
+
+
+def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int,
+              quadratic: list) -> int:
     """Breadth-first saturation: from the identity, each basis vector, in
     the order found, is multiplied by every generator in turn, and each
-    product outside the span is inserted and queued."""
+    product outside the span is inserted and queued.
+
+    One product is not formed, because it is already in the span: b g,
+    when the basis vector b was found by reducing a g and g is quadratic
+    (quadratic[t] for the t-th generator), g^2 = alpha g + beta.  Then
+    b = c (a g - sum_m l_m b_m) over basis vectors b_m found before b, so
+    b g = c (alpha a g + beta a - sum_m l_m b_m g): a and a g lie in the
+    span, and so does each b_m g, formed or skipped when b_m was taken,
+    before b.  The skipped product would reduce to zero, so the pivots
+    are those of the loop without the skip."""
     basis = [span.insert(identity)]
+    found_by = [None]  # t when basis[i] came from a product with quadratic generator t
     i = 0
     while i < len(basis):
-        for g in generators:
+        for t, g in enumerate(generators):
+            if t == found_by[i]:
+                continue
             vec = span.insert(product(basis[i], g, n))
             if vec:
                 basis.append(vec)
+                found_by.append(t if quadratic[t] else None)
         i += 1
     return len(span)
 
 
-def rational_span_dimension(generators: list[Mat], n: int) -> int:
+def rational_span_dimension(generators: list[Mat], n: int, quadratic=None) -> int:
     """span_dimension computed over Q(q) throughout: the general path,
-    and the oracle the ring path is tested against."""
+    and the oracle the ring path is tested against.  quadratic holds
+    _is_quadratic of each generator when the caller has it already."""
+    if quadratic is None:
+        quadratic = [_is_quadratic(g) for g in generators]
     identity = {i * (n + 1): RF_ONE for i in range(n)}
-    return _saturate(RowSpan(), identity, generators, _rational_product, n)
+    return _saturate(RowSpan(), identity, generators, _rational_product, n, quadratic)
 
 
 def span_dimension(generators: list[Mat], n: int) -> int:
@@ -384,25 +423,33 @@ def span_dimension(generators: list[Mat], n: int) -> int:
     Breadth-first saturation starting from the identity: whenever a
     product falls outside the current span it is appended (after pivot
     normalization) and later multiplied by every generator in turn.
-    Terminates since the span dimension is at most n^2.
+    Terminates since the span dimension is at most n^2.  Each generator
+    is tested once for a quadratic relation g^2 = alpha g + beta (Hecke
+    generators and idempotents satisfy one), and a basis vector found as
+    a product with such a g is not multiplied by g again: that product
+    already lies in the span (proof at _saturate).
 
     Which path runs: when every generator entry is a Laurent polynomial
     (its denominator a monic power of q), the ring path saturates in a
-    LaurentSpan over Z[q, q^-1].  It is exact and gives the Q(q) answer:
-    it meets the same candidates in the same order as the Q(q) path and
-    applies the same pivot rule, and while every pivot's lead entry is a
-    unit +-q^a, normalising by its inverse keeps every vector in
-    Z[q, q^-1] and equal, entry for entry, to the Q(q) path's vector; so
-    every dependence decision is the same.  A lead entry that is not a
-    unit raises NonUnitPivot, and the computation starts again from the
-    identity on the Q(q) path (rational_span_dimension), which also runs
-    at once when some generator entry has another denominator.
+    LaurentSpan over Z[q, q^-1], with each generator compiled once into
+    rows {k: ((j - k, exponent, int), ...)} of integer coefficients.  It
+    is exact and gives the Q(q) answer: it meets the same candidates in
+    the same order as the Q(q) path and applies the same pivot rule, and
+    while every pivot's lead entry is a unit +-q^a, normalising by its
+    inverse keeps every vector in Z[q, q^-1] and equal, entry for entry,
+    to the Q(q) path's vector; so every dependence decision is the same.
+    A lead entry that is not a unit raises NonUnitPivot, and the
+    computation starts again from the identity on the Q(q) path
+    (rational_span_dimension), which also runs at once when some
+    generator entry has another denominator.
     """
-    slices = [_laurent_slices(g) for g in generators]
-    if all(s is not None for s in slices):
-        identity = {0: {i * (n + 1): 1 for i in range(n)}}
+    quadratic = [_is_quadratic(g) for g in generators]
+    rows = [_compile(g) for g in generators]
+    if all(r is not None for r in rows):
+        # no empty slice: the zero exponent is left out when n is 0
+        identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
         try:
-            return _saturate(LaurentSpan(), identity, slices, _laurent_product, n)
+            return _saturate(LaurentSpan(), identity, rows, _laurent_product, n, quadratic)
         except NonUnitPivot:
             pass
-    return rational_span_dimension(generators, n)
+    return rational_span_dimension(generators, n, quadratic)

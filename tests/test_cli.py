@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qrook.cli import _emit, main, parse_q, parse_u_list
+from qrook.cli import _emit, _join_signed_values, main, parse_q, parse_u_list
 from qrook.errors import InvalidArgument
 from qrook.qfield import Q, as_ratfunc
 
@@ -260,6 +260,33 @@ def test_bad_input_exits_2_with_one_line_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ["verify", "--family", "aAlg", "--k", "2", "--u", "-1,3"],
+        ["verify", "--family", "aAlg", "--k", "2", "--u", "1,3", "--q", "-3/7"],
+        ["semisimple", "--family", "aAlg", "--k", "2", "--u", "1,3", "--q", "-1/2"],
+        ["semisimple", "--family", "cyclo", "--k", "2", "--u", "-1/2,-q"],
+        ["rep", "--k", "3", "--d", "1", "--u1", "-1/2"],
+        ["verify", "--family", "rook", "--k", "2", "--q", "-1"],
+        ["verify", "--family", "aAlg", "--k", "2", "--u", "1,1", "--q", "-1/2"],  # exits 2
+    ],
+)
+def test_signed_values_spaced_and_joined_agree(capsys, spaced):
+    # argparse alone reads "-1,3" or "-1/2" after an option as an option name
+    joined = spaced[:-2] + [f"{spaced[-2]}={spaced[-1]}"]
+    results = []
+    for argv in (spaced, joined):
+        code = main(argv)
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+
+
+def test_join_signed_values_leaves_option_names():
+    argv = ["verify", "--u", "--q", "-1", "--k", "-2", "--q", "-h"]
+    assert _join_signed_values(argv) == ["verify", "--u", "--q=-1", "--k", "-2", "--q", "-h"]
 
 
 def test_verify_aalg_specialised_passes(capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene: no qrook module imports a name it never uses, and
-nothing can change a RatFunc after ``RatFunc.__init__``."""
+"""Source hygiene: no qrook module imports a name it never uses, nothing
+can change a RatFunc after ``RatFunc.__init__``, and no invariant rests on
+an ``assert`` statement."""
 
 import ast
 from pathlib import Path
@@ -99,4 +100,29 @@ def test_detector_sees_field_writes():
 
 def test_ratfunc_fields_are_assigned_only_in_init():
     found = [f"{p.name}: {w}" for p in sorted(SRC.glob("*.py")) for w in field_writes(p.read_text())]
+    assert found == []
+
+
+def assert_statements(source: str) -> list:
+    """Lines holding an ``assert`` statement.  ``python -O`` strips them, so
+    an invariant that must hold under it is a raise, never an assert."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_detector_sees_assert_statements():
+    source = (
+        "def f(x):\n"
+        "    assert x, 'message'\n"
+        "    if not x:\n"
+        "        raise ValueError(x)\n"
+        "    return 'assert x'\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self.ok\n"
+    )
+    assert assert_statements(source) == ["line 2", "line 8"]
+
+
+def test_no_assert_statements():
+    found = [f"{p.name}: {w}" for p in sorted(SRC.glob("*.py")) for w in assert_statements(p.read_text())]
     assert found == []

@@ -1,12 +1,21 @@
 """Word-span saturation: the ring path over Z[q, q^-1] against the Q(q)
 path, which stays the oracle of record."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrook import linalg
-from qrook.linalg import LaurentSpan, Mat, RowSpan, rational_span_dimension, span_dimension
+from qrook.linalg import (
+    LaurentSpan,
+    Mat,
+    NonUnitPivot,
+    RowSpan,
+    _is_quadratic,
+    rational_span_dimension,
+    span_dimension,
+)
 from qrook.presentations import algebra_dimension
-from qrook.qfield import Q, QINV, RF_ZERO, RatFunc, as_ratfunc
+from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 from qrook.rook import regular_dimension
 from qrook.seminormal import cyclotomic_module
 from qrook.tensor import GradedBasis, centralizer_dimension, phiP, predicted_centralizer_dimension
@@ -36,16 +45,50 @@ POOL = [
 _ENTRY = st.one_of(st.just(RF_ZERO), st.sampled_from(POOL))
 
 
+def _hecke_block(n, i, j):
+    """A Hecke generator of size n: [[0, 1], [1, q - q^-1]] on coordinates
+    i < j and q elsewhere on the diagonal, so T^2 = (q - q^-1) T + 1."""
+    t = Mat.diagonal([Q] * n)
+    t.set(i, i, RF_ZERO)
+    t.set(i, j, as_ratfunc(1))
+    t.set(j, i, as_ratfunc(1))
+    t.set(j, j, Q - QINV)
+    return t
+
+
 @st.composite
 def _generators(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
     count = draw(st.integers(1, 2))
     entries = st.lists(_ENTRY, min_size=n * n, max_size=n * n)
     gens = []
     for _ in range(count):
+        if n >= 2 and draw(st.booleans()):
+            i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            gens.append(_hecke_block(n, i, j))
+            continue
         flat = draw(entries)
         gens.append(Mat.from_dense([flat[i * n:(i + 1) * n] for i in range(n)]))
     return gens, n
+
+
+def _saturated_pivots(gens, n, quadratic):
+    """The pivots _saturate finds on the Q(q) path and, when every entry
+    is a Laurent polynomial and no pivot lead is a non-unit, on the ring
+    path (else None), with the given quadratic flags."""
+    rational = RowSpan()
+    identity = {i * (n + 1): RF_ONE for i in range(n)}
+    linalg._saturate(rational, identity, gens, linalg._rational_product, n, quadratic)
+    rows = [linalg._compile(g) for g in gens]
+    if any(r is None for r in rows):
+        return rational.pivots, None
+    ring = LaurentSpan()
+    identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
+    try:
+        linalg._saturate(ring, identity, rows, linalg._laurent_product, n, quadratic)
+    except NonUnitPivot:
+        return rational.pivots, None
+    return rational.pivots, ring.pivots
 
 
 @settings(deadline=None, max_examples=100)
@@ -53,6 +96,9 @@ def _generators(draw):
 def test_span_dimension_matches_rational_path(case):
     gens, n = case
     assert span_dimension(gens, n) == rational_span_dimension(gens, n)
+    # skipping the products of quadratic generators changes no pivot
+    quadratic = [_is_quadratic(g) for g in gens]
+    assert _saturated_pivots(gens, n, quadratic) == _saturated_pivots(gens, n, [False] * len(gens))
 
 
 def _as_ratfunc_vector(vec):
@@ -116,6 +162,61 @@ def test_restart_on_a_non_unit_pivot(monkeypatch):
     monkeypatch.undo()
     assert centralizer_dimension(4, GradedBasis((1, 1)), (1, 3)) == 70
     assert predicted_centralizer_dimension(4, GradedBasis((1, 1))) == 70
+
+
+def _no_skip(monkeypatch):
+    monkeypatch.setattr(linalg, "_is_quadratic", lambda g: False)
+
+
+@pytest.mark.parametrize("u", [U01, U13], ids=["ring", "restart"])
+def test_skip_keeps_the_pivots(monkeypatch, u):
+    asg = phiP(4, GradedBasis((1, 1)), u)
+    gens = [asg[name] for name in sorted(asg)]
+    dims, spans, calls = _spans(monkeypatch, gens, gens[0].n)
+    monkeypatch.undo()
+    _no_skip(monkeypatch)
+    dims_all, spans_all, calls_all = _spans(monkeypatch, gens, gens[0].n)
+    assert dims == dims_all == (70, 70)
+    assert [type(s) for s in spans] == [type(s) for s in spans_all]
+    # every span: the ring path (cut short at u = (1, 3)), the Q(q) restart
+    # and the Q(q) oracle
+    assert [s.pivots for s in spans] == [s.pivots for s in spans_all]
+    assert len(calls) < len(calls_all)
+
+
+def test_skip_needs_a_quadratic_generator():
+    # 1, q, q^2 are distinct, so g^2 is not in the span of 1 and g
+    g = Mat.diagonal([1, Q, Q * Q])
+    assert not _is_quadratic(g)
+    assert span_dimension([g], 3) == rational_span_dimension([g], 3) == 3
+
+
+def test_quadratic_detector():
+    asg = phiP(3, GradedBasis((1, 1)), U13)
+    accepted = [
+        asg["T1"],
+        asg["T2"],
+        asg["X1"],
+        phiP(3, GradedBasis((1, 1)), U01)["X1"],  # diagonal, an idempotent
+        Mat.diagonal([1, 3, 3]),  # (g - 1)(g - 3) = 0
+        Mat.identity(3).scale(Q + 1),
+        Mat(3),
+        Mat(0),
+        _hecke_block(3, 0, 2),
+    ]
+    assert all(_is_quadratic(g) for g in accepted)
+    # every 2 x 2 matrix is quadratic (Cayley-Hamilton), so these have size 3
+    rejected = [
+        Mat.diagonal([1, Q, Q * Q]),
+        Mat.from_dense([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent of order 3
+        Mat.from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),  # a 3-cycle, g^3 = 1
+    ]
+    assert not any(_is_quadratic(g) for g in rejected)
+
+
+def test_zero_size_span():
+    assert span_dimension([Mat(0)], 0) == rational_span_dimension([Mat(0)], 0) == 0
+    assert algebra_dimension({"T": Mat(0)}) == 0
 
 
 def test_non_laurent_entries_take_the_rational_path(monkeypatch):
