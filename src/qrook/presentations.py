@@ -31,17 +31,21 @@ LinComb = dict  # Word -> RatFunc
 QDIFF = Q - QINV
 
 
+def _accumulate(out: LinComb, terms) -> LinComb:
+    """Add each (word, coefficient) pair of terms into out, dropping a
+    word whose coefficient becomes zero."""
+    for w, c in terms:
+        cur = out.get(w, RF_ZERO) + c
+        if cur.is_zero():
+            out.pop(w, None)
+        else:
+            out[w] = cur
+    return out
+
+
 def lc(*terms) -> LinComb:
     """Build a linear combination from (coefficient, word) pairs."""
-    out: LinComb = {}
-    for coeff, word in terms:
-        coeff = as_ratfunc(coeff)
-        cur = out.get(word, RF_ZERO) + coeff
-        if cur.is_zero():
-            out.pop(word, None)
-        else:
-            out[word] = cur
-    return out
+    return _accumulate({}, ((word, as_ratfunc(c)) for c, word in terms))
 
 
 def lc_gen(name: str) -> LinComb:
@@ -54,14 +58,7 @@ def lc_scalar(c) -> LinComb:
 
 
 def lc_add(a: LinComb, b: LinComb) -> LinComb:
-    out = dict(a)
-    for w, c in b.items():
-        cur = out.get(w, RF_ZERO) + c
-        if cur.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = cur
-    return out
+    return _accumulate(dict(a), b.items())
 
 
 def lc_scale(a: LinComb, c) -> LinComb:
@@ -76,16 +73,9 @@ def lc_sub(a: LinComb, b: LinComb) -> LinComb:
 
 
 def lc_mul(a: LinComb, b: LinComb) -> LinComb:
-    out: LinComb = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            cur = out.get(w, RF_ZERO) + ca * cb
-            if cur.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = cur
-    return out
+    return _accumulate(
+        {}, ((wa + wb, ca * cb) for wa, ca in a.items() for wb, cb in b.items())
+    )
 
 
 def lc_prod(factors) -> LinComb:
@@ -187,6 +177,18 @@ def relations_rook(k: int):
 X2_WORD = ("T1", "X1", "T1")
 
 
+def _x1_t1_braid(name: str) -> Relation:
+    """X1 T1 X1 T1 = T1 X1 T1 X1."""
+    return Relation(
+        name, lc((1, ("X1", "T1", "X1", "T1"))), lc((1, ("T1", "X1", "T1", "X1")))
+    )
+
+
+def _x1_polynomial(u) -> LinComb:
+    """The product of the factors X1 - u_i, in the order of u."""
+    return lc_prod([lc((1, ("X1",)), (-ui, ())) for ui in u])
+
+
 def relations_Ak_presentation(k: int):
     """The X1/T presentation of the same algebra."""
     if k < 2:
@@ -201,13 +203,7 @@ def relations_Ak_presentation(k: int):
             )
         )
     rels.append(Relation("B2:X1^2", lc((1, ("X1", "X1"))), lc((1, ("X1",)))))
-    rels.append(
-        Relation(
-            "B3",
-            lc((1, ("X1", "T1", "X1", "T1"))),
-            lc((1, ("T1", "X1", "T1", "X1"))),
-        )
-    )
+    rels.append(_x1_t1_braid("B3"))
     rels.append(Relation("B4", lc_prod(b4_factors()), {}))
     return rels
 
@@ -246,13 +242,7 @@ def relations_affine(k: int):
             )
         )
     if k >= 2:
-        rels.append(
-            Relation(
-                "C6",
-                lc((1, ("X1", "T1", "X1", "T1"))),
-                lc((1, ("T1", "X1", "T1", "X1"))),
-            )
-        )
+        rels.append(_x1_t1_braid("C6"))
     for i in range(2, k + 1):
         ts = tuple(f"T{j}" for j in range(i - 1, 0, -1))
         rels.append(
@@ -271,8 +261,7 @@ def relations_cyclotomic(k: int, u):
     if not u:
         raise InvalidArgument("need at least one u parameter")
     rels = relations_affine(k)
-    factors = [lc((1, ("X1",)), (-ui, ())) for ui in u]
-    rels.append(Relation("cyclotomic:X1", lc_prod(factors), {}))
+    rels.append(Relation("cyclotomic:X1", _x1_polynomial(u), {}))
     return rels
 
 
@@ -290,25 +279,8 @@ def relations_A_algebra(k: int, u1, u2):
     ]
     rels += [_braid(i) for i in range(1, k - 1)]
     rels += [_quadratic(i) for i in range(1, k)]
-    rels.append(
-        Relation(
-            "Aalg4",
-            lc((1, ("X1", "T1", "X1", "T1"))),
-            lc((1, ("T1", "X1", "T1", "X1"))),
-        )
-    )
-    rels.append(
-        Relation(
-            "Aalg5:quadraticX1",
-            lc_prod(
-                [
-                    lc((1, ("X1",)), (-u1, ())),
-                    lc((1, ("X1",)), (-u2, ())),
-                ]
-            ),
-            {},
-        )
-    )
+    rels.append(_x1_t1_braid("Aalg4"))
+    rels.append(Relation("Aalg5:quadraticX1", _x1_polynomial([u1, u2]), {}))
     rels.append(Relation("Aalg6", ideal_generator_p(u1, u2), {}))
     return rels
 

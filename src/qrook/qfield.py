@@ -11,7 +11,9 @@ representations.  Negative powers of q live in the fraction field
 Canonicalisation uses integer arithmetic only.  After common powers of
 q are cancelled, the gcd of numerator and denominator comes from the
 primitive pseudo-remainder sequence, and both parts are divided by it
-with exact integer long division.  ``Fraction`` appears only in the
+with exact integer long division (a denominator c·q^e needs no gcd).
+``+`` and ``*`` have one path each: (n1·d2 + n2·d1)/(d1·d2) and
+(n1·n2)/(d1·d2), canonicalised.  ``Fraction`` appears only in the
 result of specialisation at a rational q (``poly_eval`` itself runs on
 integers) and in conversion from rationals (``RatFunc.from_fraction``,
 ``as_ratfunc``).
@@ -341,21 +343,10 @@ class RatFunc:
     def __add__(self, other):
         if not isinstance(other, RatFunc):
             other = as_ratfunc(other)
-        a = _monic_monomial_degree(self.den)
-        b = _monic_monomial_degree(other.den) if a >= 0 else -1
-        if b >= 0:
-            if a == b:
-                return _over_q_power(poly_add(self.num, other.num), a)
-            # n1/q^a + n2/q^b = (n1 q^(e-a) + n2 q^(e-b)) / q^e, e = max(a, b)
-            e = max(a, b)
-            num = poly_add(poly_shift(self.num, e - a), poly_shift(other.num, e - b))
-            return _over_q_power(num, e)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return RatFunc(poly_add(self.num, other.num), self.den)
         num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
         return RatFunc(num, poly_mul(self.den, other.den))
 
@@ -376,13 +367,7 @@ class RatFunc:
             other = as_ratfunc(other)
         if not self.num or not other.num:
             return RF_ZERO
-        a = _monic_monomial_degree(self.den)
-        b = _monic_monomial_degree(other.den) if a >= 0 else -1
-        if b >= 0:
-            return _over_q_power(poly_mul(self.num, other.num), a + b)
-        return RatFunc(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
-        )
+        return RatFunc(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -417,8 +402,8 @@ class RatFunc:
     def laurent(self):
         """{exponent: coefficient} when the denominator is a monic power
         of q (self is then a Laurent polynomial), otherwise None."""
-        e = _monic_monomial_degree(self.den)
-        if e < 0:
+        e = len(self.den) - 1
+        if self.den[-1] != 1 or self.den.count(0) != e:
             return None
         return {i - e: c for i, c in enumerate(self.num) if c}
 
@@ -450,27 +435,6 @@ class RatFunc:
     __repr__ = __str__
 
 
-def _monic_monomial_degree(p):
-    """e when the polynomial p is q^e, otherwise -1."""
-    e = len(p) - 1
-    return e if p[-1] == 1 and (not e or p.count(0) == e) else -1
-
-
-def _over_q_power(num, e):
-    """The canonical RatFunc num / q^e for an integer polynomial num.
-
-    Only a common power of q can cancel: q^e has content 1 and a positive
-    leading coefficient, so stripping min(v(num), e) powers of q gives the
-    unique canonical form without a gcd."""
-    if not num:
-        return RF_ZERO
-    if e and not num[0]:
-        v = min(poly_valuation(num), e)
-        num = num[v:]
-        e -= v
-    return RatFunc(num, (0,) * e + P_ONE, _canonical=True)
-
-
 def _canonicalize(num, den):
     num = poly_trim(num)
     den = poly_trim(den)
@@ -483,8 +447,8 @@ def _canonicalize(num, den):
     if v:
         num = poly_shift(num, -v)
         den = poly_shift(den, -v)
-    den_is_monomial = not any(den[:-1])
-    if len(den) > 1 and len(num) > 1 and not den_is_monomial:
+    # a denominator c·q^e needs no gcd: only a common power of q can cancel
+    if len(den) > 1 and len(num) > 1 and any(den[:-1]):
         g = _poly_gcd_shifted(num, den, 0)
         if len(g) > 1:
             num = poly_divexact(num, g)

@@ -103,12 +103,9 @@ def addable_boxes(shape):
     """Positions whose addition leaves a valid (multi)partition."""
     if isinstance(shape, SkewShape):
         raise InvalidArgument("addable boxes are defined for (multi)partitions")
-    if is_multipartition(shape) or shape == ():
-        comps = shape if is_multipartition(shape) else None
-        if comps is None:
-            return _addable_plain(shape, None)
+    if is_multipartition(shape):
         out = []
-        for i, p in enumerate(comps):
+        for i, p in enumerate(shape):
             out.extend(_addable_plain(p, i + 1))
         return out
     return _addable_plain(shape, None)

@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -253,7 +254,7 @@ def test_canonical_form_matches_sympy(g, a, b, shift):
 )
 def test_q_power_denominators_match_sympy(n1, e1, n2, e2, c):
     """Sums and products of elements whose denominators are powers of q
-    (the fast path when the coefficient c is 1) agree with sympy.cancel."""
+    (times a coefficient c) agree with sympy.cancel."""
     sympy = pytest.importorskip("sympy")
     d1 = poly_shift((1,), e1)
     d2 = poly_shift((c,), e2)
@@ -317,6 +318,48 @@ def test_memo_agrees_with_emptied_tables(nums, dens):
         for (a, b), x, y in zip(pairs, stored, looked_up):
             z = _fresh(op, a, b)
             assert (x.num, x.den) == (y.num, y.den) == (z.num, z.den)
+
+
+def _gcd_degree_over_q(a, b):
+    """Degree of gcd(a, b) over the rationals, for nonzero a and b, by
+    Euclid's algorithm on Fraction coefficients."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while b:
+        r = a[:]
+        while len(r) >= len(b):
+            c, s = r[-1] / b[-1], len(r) - len(b)
+            for i, y in enumerate(b):
+                r[s + i] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return len(a) - 1
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_polys, _dens), min_size=2, max_size=2))
+def test_sums_and_products_are_canonical(operands):
+    """a + b and a * b, for denominators q^e, c*q^e and general ones, are
+    canonical by an oracle that does not use qfield's gcd: the value is
+    right, the denominator's lead is positive, the joint content is 1,
+    numerator and denominator share no factor q and are coprime over Q."""
+    (n1, d1), (n2, d2) = operands
+    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+    product = (poly_mul(a.num, b.num), poly_mul(a.den, b.den))
+    total = (
+        poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)),
+        poly_mul(a.den, b.den),
+    )
+    for op, (num, den) in ((operator.add, total), (operator.mul, product)):
+        r = _fresh(op, a, b)
+        assert poly_mul(r.num, den) == poly_mul(num, r.den)
+        assert r.den and r.den[-1] > 0
+        assert gcd(*r.num, *r.den) == 1
+        if not r.num:
+            assert r.den == (1,)
+            continue
+        assert r.num[0] or r.den[0]
+        assert _gcd_degree_over_q(r.num, r.den) == 0
 
 
 @pytest.mark.parametrize(
