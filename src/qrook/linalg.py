@@ -16,11 +16,13 @@ the first lead entry that is not a unit, it runs from the start over Q(q)
 The ring path compiles each generator once into rows
 ``{k: ((j - k, exponent, int), ...)}``, so a product costs one row lookup
 per term of the vector, and ``RowSpan.reduce`` works in place on the
-fresh product.  Both paths leave out the product b g when the basis
-vector b was found from a product a g and g satisfies
-g^2 = alpha g + beta (a Hecke generator, an idempotent): then
-b g = c (alpha a g + beta a - sum of multiples of b_m g for earlier basis
-vectors b_m), already in the span, so the pivots are unchanged.
+fresh product.  Both paths leave out two kinds of product b h, for a
+basis vector b found from a product a g, because b h already lies in the
+span and the pivots are unchanged: h = g when g satisfies
+g^2 = alpha g + beta (a Hecke generator, an idempotent), and h listed
+before g when h g = g h (T_i and T_j with |i - j| >= 2, X1 and T_j with
+j >= 2).  Which products are left out is one table, ``_skip_table``,
+computed once per call.
 """
 
 from __future__ import annotations
@@ -378,43 +380,69 @@ def _is_quadratic(g: Mat) -> bool:
     return g2 == g.scale(alpha).add_scalar(beta)
 
 
+def _skip_table(generators: list) -> list:
+    """skip[f][t]: whether _saturate leaves out b g_t for a basis vector b
+    found from a product with g_f.  skip[f][f] is _is_quadratic(g_f);
+    skip[f][t] for t < f is the exact test g_f g_t == g_t g_f; skip[f][t]
+    for t > f is False (proof at _saturate)."""
+    return [
+        [_is_quadratic(g) if t == f else t < f and g @ h == h @ g
+         for t, h in enumerate(generators)]
+        for f, g in enumerate(generators)
+    ]
+
+
 def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int,
-              quadratic: list) -> int:
+              skip: list) -> int:
     """Breadth-first saturation: from the identity, each basis vector, in
     the order found, is multiplied by every generator in turn, and each
     product outside the span is inserted and queued.
 
-    One product is not formed, because it is already in the span: b g,
-    when the basis vector b was found by reducing a g and g is quadratic
-    (quadratic[t] for the t-th generator), g^2 = alpha g + beta.  Then
-    b = c (a g - sum_m l_m b_m) over basis vectors b_m found before b, so
-    b g = c (alpha a g + beta a - sum_m l_m b_m g): a and a g lie in the
-    span, and so does each b_m g, formed or skipped when b_m was taken,
-    before b.  The skipped product would reduce to zero, so the pivots
-    are those of the loop without the skip."""
+    Some products are not formed, because they are already in the span.
+    Say the basis vector b was found by reducing a g_f, with generator f:
+    b = c (a g_f - sum_m l_m b_m) over basis vectors b_m found before b.
+    Every vector found before b is taken before b, so its products with
+    every generator are in the span when b is taken (formed then, or
+    skipped by the same argument).  Then b g_t is skipped when skip[f][t]
+    holds (see _skip_table):
+
+    - t = f and g_f is quadratic, g_f^2 = alpha g_f + beta.  Then
+      b g_f = c (alpha a g_f + beta a - sum_m l_m b_m g_f): a and a g_f
+      lie in the span, and so does each b_m g_f.
+    - t < f and g_t g_f = g_f g_t.  Then
+      b g_t = c (a g_t g_f - sum_m l_m b_m g_t).  a g_t was formed (or
+      skipped) before a g_f, as t < f, so it lies in the span of vectors
+      found before b, and each of those times g_f is in the span; so is
+      each b_m g_t.
+
+    A skipped product would reduce to zero, so the pivots are those of
+    the loop without any skip.  No rule holds for t > f: a g_t is formed
+    after a g_f, so it need not lie in the span of vectors found before
+    b."""
     basis = [span.insert(identity)]
-    found_by = [None]  # t when basis[i] came from a product with quadratic generator t
+    found_by = [[False] * len(generators)]  # skip[f] when basis[i] came from generator f
     i = 0
     while i < len(basis):
+        skips = found_by[i]
         for t, g in enumerate(generators):
-            if t == found_by[i]:
+            if skips[t]:
                 continue
             vec = span.insert(product(basis[i], g, n))
             if vec:
                 basis.append(vec)
-                found_by.append(t if quadratic[t] else None)
+                found_by.append(skip[t])
         i += 1
     return len(span)
 
 
-def rational_span_dimension(generators: list[Mat], n: int, quadratic=None) -> int:
+def rational_span_dimension(generators: list[Mat], n: int, skip=None) -> int:
     """span_dimension computed over Q(q) throughout: the general path,
-    and the oracle the ring path is tested against.  quadratic holds
-    _is_quadratic of each generator when the caller has it already."""
-    if quadratic is None:
-        quadratic = [_is_quadratic(g) for g in generators]
+    and the oracle the ring path is tested against.  skip is
+    _skip_table(generators) when the caller has it already."""
+    if skip is None:
+        skip = _skip_table(generators)
     identity = {i * (n + 1): RF_ONE for i in range(n)}
-    return _saturate(RowSpan(), identity, generators, _rational_product, n, quadratic)
+    return _saturate(RowSpan(), identity, generators, _rational_product, n, skip)
 
 
 def span_dimension(generators: list[Mat], n: int) -> int:
@@ -423,11 +451,14 @@ def span_dimension(generators: list[Mat], n: int) -> int:
     Breadth-first saturation starting from the identity: whenever a
     product falls outside the current span it is appended (after pivot
     normalization) and later multiplied by every generator in turn.
-    Terminates since the span dimension is at most n^2.  Each generator
-    is tested once for a quadratic relation g^2 = alpha g + beta (Hecke
-    generators and idempotents satisfy one), and a basis vector found as
-    a product with such a g is not multiplied by g again: that product
-    already lies in the span (proof at _saturate).
+    Terminates since the span dimension is at most n^2.  The table
+    _skip_table is computed once: each generator g is tested for a
+    quadratic relation g^2 = alpha g + beta (Hecke generators and
+    idempotents satisfy one), and each pair for commuting.  A basis
+    vector found as a product with g is not multiplied by g again when g
+    is quadratic, nor by a generator h listed before g with h g = g h:
+    those products already lie in the span (proof at _saturate).  Both
+    paths share the table.
 
     Which path runs: when every generator entry is a Laurent polynomial
     (its denominator a monic power of q), the ring path saturates in a
@@ -443,13 +474,13 @@ def span_dimension(generators: list[Mat], n: int) -> int:
     (rational_span_dimension), which also runs at once when some
     generator entry has another denominator.
     """
-    quadratic = [_is_quadratic(g) for g in generators]
+    skip = _skip_table(generators)
     rows = [_compile(g) for g in generators]
     if all(r is not None for r in rows):
         # no empty slice: the zero exponent is left out when n is 0
         identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
         try:
-            return _saturate(LaurentSpan(), identity, rows, _laurent_product, n, quadratic)
+            return _saturate(LaurentSpan(), identity, rows, _laurent_product, n, skip)
         except NonUnitPivot:
             pass
-    return rational_span_dimension(generators, n, quadratic)
+    return rational_span_dimension(generators, n, skip)

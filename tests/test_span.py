@@ -58,34 +58,44 @@ def _hecke_block(n, i, j):
 
 @st.composite
 def _generators(draw):
+    """1 to 3 generators of size at most 3.  Besides dense draws and Hecke
+    blocks, a generator may be diagonal (diagonals commute with each
+    other) or g @ g + c g for an earlier generator g (which commutes with
+    g), so that the commuting skip is exercised."""
     n = draw(st.integers(0, 3))
-    count = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 3))
     entries = st.lists(_ENTRY, min_size=n * n, max_size=n * n)
     gens = []
     for _ in range(count):
-        if n >= 2 and draw(st.booleans()):
+        kind = draw(st.sampled_from(["dense", "hecke", "diagonal", "polynomial"]))
+        if kind == "hecke" and n >= 2:
             i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
             gens.append(_hecke_block(n, i, j))
-            continue
-        flat = draw(entries)
-        gens.append(Mat.from_dense([flat[i * n:(i + 1) * n] for i in range(n)]))
+        elif kind == "diagonal":
+            gens.append(Mat.diagonal(draw(st.lists(_ENTRY, min_size=n, max_size=n))))
+        elif kind == "polynomial" and gens:
+            g = draw(st.sampled_from(gens))
+            gens.append(g @ g + g.scale(draw(st.sampled_from(POOL))))
+        else:
+            flat = draw(entries)
+            gens.append(Mat.from_dense([flat[i * n:(i + 1) * n] for i in range(n)]))
     return gens, n
 
 
-def _saturated_pivots(gens, n, quadratic):
+def _saturated_pivots(gens, n, skip):
     """The pivots _saturate finds on the Q(q) path and, when every entry
     is a Laurent polynomial and no pivot lead is a non-unit, on the ring
-    path (else None), with the given quadratic flags."""
+    path (else None), with the given skip table."""
     rational = RowSpan()
     identity = {i * (n + 1): RF_ONE for i in range(n)}
-    linalg._saturate(rational, identity, gens, linalg._rational_product, n, quadratic)
+    linalg._saturate(rational, identity, gens, linalg._rational_product, n, skip)
     rows = [linalg._compile(g) for g in gens]
     if any(r is None for r in rows):
         return rational.pivots, None
     ring = LaurentSpan()
     identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
     try:
-        linalg._saturate(ring, identity, rows, linalg._laurent_product, n, quadratic)
+        linalg._saturate(ring, identity, rows, linalg._laurent_product, n, skip)
     except NonUnitPivot:
         return rational.pivots, None
     return rational.pivots, ring.pivots
@@ -96,9 +106,9 @@ def _saturated_pivots(gens, n, quadratic):
 def test_span_dimension_matches_rational_path(case):
     gens, n = case
     assert span_dimension(gens, n) == rational_span_dimension(gens, n)
-    # skipping the products of quadratic generators changes no pivot
-    quadratic = [_is_quadratic(g) for g in gens]
-    assert _saturated_pivots(gens, n, quadratic) == _saturated_pivots(gens, n, [False] * len(gens))
+    # the skip table changes no pivot, on either path
+    no_skip = [[False] * len(gens) for _ in gens]
+    assert _saturated_pivots(gens, n, linalg._skip_table(gens)) == _saturated_pivots(gens, n, no_skip)
 
 
 def _as_ratfunc_vector(vec):
@@ -165,11 +175,12 @@ def test_restart_on_a_non_unit_pivot(monkeypatch):
 
 
 def _no_skip(monkeypatch):
-    monkeypatch.setattr(linalg, "_is_quadratic", lambda g: False)
+    """Make span_dimension and the Q(q) path form every product."""
+    monkeypatch.setattr(linalg, "_skip_table", lambda gens: [[False] * len(gens) for _ in gens])
 
 
-@pytest.mark.parametrize("u", [U01, U13], ids=["ring", "restart"])
-def test_skip_keeps_the_pivots(monkeypatch, u):
+@pytest.mark.parametrize("u, ring_calls", [(U01, (136, 281)), (U13, (5, 5))], ids=["ring", "restart"])
+def test_skip_keeps_the_pivots(monkeypatch, u, ring_calls):
     asg = phiP(4, GradedBasis((1, 1)), u)
     gens = [asg[name] for name in sorted(asg)]
     dims, spans, calls = _spans(monkeypatch, gens, gens[0].n)
@@ -182,6 +193,20 @@ def test_skip_keeps_the_pivots(monkeypatch, u):
     # and the Q(q) oracle
     assert [s.pivots for s in spans] == [s.pivots for s in spans_all]
     assert len(calls) < len(calls_all)
+    # reduce calls on the ring path, with the skips and without
+    assert (calls.count(LaurentSpan), calls_all.count(LaurentSpan)) == ring_calls
+
+
+def test_skip_table():
+    asg = phiP(4, GradedBasis((1, 1)), U01)
+    names = sorted(asg)
+    assert names == ["T1", "T2", "T3", "X1"]
+    skip = linalg._skip_table([asg[name] for name in names])
+    marked = {(names[f], names[t]) for f, row in enumerate(skip) for t, s in enumerate(row) if s}
+    quadratic = {(name, name) for name in names}
+    # T1 T3 = T3 T1 and X1 commutes with T2 and T3; T1 T2, T2 T3 and X1 T1
+    # do not commute, and no generator listed after g_f is marked
+    assert marked == quadratic | {("T3", "T1"), ("X1", "T2"), ("X1", "T3")}
 
 
 def test_skip_needs_a_quadratic_generator():
