@@ -32,6 +32,14 @@ from .qfield import RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 
 
 class Mat:
+    """An n x n matrix over Q(q), ``rows`` = ``{i: {j: RatFunc}}``.
+
+    Invariant: no zero entry and no empty row is stored.  Every method
+    keeps it, and only this module builds a Mat from a rows dict or writes
+    into ``rows`` (tests/test_hygiene.py checks that statically).  ``==``
+    relies on it: two matrices are equal iff their rows dicts are, which
+    is how ``presentations.verify`` decides that a relation holds."""
+
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows=None):
@@ -174,12 +182,6 @@ class Mat:
             if r:
                 rows[pos[i]] = r
         return Mat(len(indices), rows)
-
-    def flatten(self) -> dict:
-        """Sparse vector of length n*n, row-major."""
-        return {
-            i * self.n + j: v for i, r in self.rows.items() for j, v in r.items()
-        }
 
     def first_entry_string(self) -> str:
         """Deterministic witness entry for reports: the entry at the
@@ -357,7 +359,8 @@ def _rational_product(vec: dict, g: Mat, n: int) -> dict:
     rows: dict = {}
     for idx, v in vec.items():
         rows.setdefault(idx // n, {})[idx % n] = v
-    return (Mat(n, rows) @ g).flatten()
+    prod = Mat(n, rows) @ g
+    return {i * n + j: v for i, r in prod.rows.items() for j, v in r.items()}
 
 
 def _is_quadratic(g: Mat) -> bool:

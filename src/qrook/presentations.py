@@ -91,9 +91,6 @@ class Relation:
     lhs: LinComb
     rhs: LinComb
 
-    def residual_comb(self) -> LinComb:
-        return lc_sub(self.lhs, self.rhs)
-
 
 def _quadratic(i: int) -> Relation:
     t = f"T{i}"
@@ -414,7 +411,14 @@ def _with_inverses(assignment: dict, relations, q0=None) -> dict:
 
 
 def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:
-    total = Mat.zero(n)
+    """The n x n matrix of comb, each word the product of the assigned
+    matrices of its letters (the empty word the identity).
+
+    The sum starts from the first term, and a coefficient equal to 1 is
+    not multiplied in; the empty combination is the zero matrix.  The
+    result may be one of the assignment's own matrices (a one-letter word
+    with coefficient 1), so a caller must not change it in place."""
+    total = None
     for word, coeff in comb.items():
         for letter in word:
             if letter not in assignment:
@@ -422,12 +426,26 @@ def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:
         m = assignment[word[0]] if word else Mat.identity(n)
         for letter in word[1:]:
             m = m @ assignment[letter]
-        total = total + m.scale(coeff)
-    return total
+        if coeff != RF_ONE:
+            m = m.scale(coeff)
+        total = m if total is None else total + m
+    return Mat.zero(n) if total is None else total
 
 
 def verify(assignment: dict, relations, q0=None) -> Report:
-    """Evaluate every relation; PASS iff each residual is exactly zero."""
+    """Evaluate every relation; PASS iff its two sides are equal matrices.
+
+    Each side is evaluated on its own by eval_lincomb, and the relation
+    holds iff the two matrices are equal (Mat.__eq__).  That is exactly
+    the test that the residual lhs - rhs is the zero matrix: a Mat stores
+    no zero entry and no empty row, so two matrices are equal iff their
+    rows dicts are, and a false PASS is impossible (a stored zero could
+    only make equal matrices compare unequal, a false FAIL).  Only a
+    failing relation builds the residual, for its witness entry
+    (Mat.first_entry_string); a passing one reports "0".
+
+    At q0, the matrices and both sides' coefficients are specialised
+    first, so the check is exact at q = q0."""
     if not assignment:
         raise InvalidArgument("empty assignment")
     n = next(iter(assignment.values())).n
@@ -437,13 +455,12 @@ def verify(assignment: dict, relations, q0=None) -> Report:
     full = _with_inverses(assignment, relations, q0=q0)
     results = []
     for rel in relations:
-        comb = rel.residual_comb()
+        lhs, rhs = rel.lhs, rel.rhs
         if q0 is not None:
-            comb = lincomb_specialize(comb, q0)
-        residual = eval_lincomb(comb, full, n)
-        results.append(
-            RelationResult(rel.name, residual.is_zero(), residual.first_entry_string())
-        )
+            lhs, rhs = lincomb_specialize(lhs, q0), lincomb_specialize(rhs, q0)
+        a, b = eval_lincomb(lhs, full, n), eval_lincomb(rhs, full, n)
+        ok = a == b
+        results.append(RelationResult(rel.name, ok, "0" if ok else (a - b).first_entry_string()))
     return Report(results)
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: no qrook module imports a name it never uses, nothing
-can change a RatFunc after ``RatFunc.__init__``, and no invariant rests on
-an ``assert`` statement."""
+can change a RatFunc after ``RatFunc.__init__``, only ``linalg`` builds a
+Mat from a rows dict or writes into one, and no invariant rests on an
+``assert`` statement."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qrook"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 RATFUNC_FIELDS = {"num", "den"}
 ATTRIBUTE_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+DICT_MUTATORS = {"setdefault", "pop", "popitem", "update", "clear", "__setitem__", "__delitem__"}
 
 
 def unused_imports(source: str) -> list:
@@ -100,6 +102,73 @@ def test_detector_sees_field_writes():
 
 def test_ratfunc_fields_are_assigned_only_in_init():
     found = [f"{p.name}: {w}" for p in sorted(SRC.glob("*.py")) for w in field_writes(p.read_text())]
+    assert found == []
+
+
+def _is_rows(node) -> bool:
+    """Whether node is ``<expr>.rows`` or a subscript of one, like
+    ``m.rows[i]`` or ``m.rows[i][j]``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "rows"
+
+
+def mat_row_writes(source: str) -> list:
+    """Places that could break the Mat invariant (no zero entry, no empty
+    row), which ``Mat.__eq__`` and so ``verify`` rely on: a call of
+    ``Mat(...)`` with a rows argument, an assignment to or deletion of
+    ``.rows`` or an item of it, and a dict-mutating method called on
+    either.  Only linalg, whose methods keep the invariant, may do these;
+    elsewhere a Mat is built by its constructors and changed by ``set``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Mat" and (len(node.args) > 1 or any(kw.arg == "rows" for kw in node.keywords)):
+                found.append(f"{where}: Mat(rows)")
+            elif name in DICT_MUTATORS and isinstance(func, ast.Attribute) and _is_rows(func.value):
+                found.append(f"{where}: .rows {name}()")
+        elif isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load) and _is_rows(node):
+            found.append(f"{where}: .rows write")
+    return found
+
+
+def test_detector_sees_mat_row_writes():
+    source = (
+        "def f(m, n, r):\n"
+        "    a = Mat(n, r)\n"
+        "    b = linalg.Mat(n, rows=r)\n"
+        "    m.rows = {}\n"
+        "    m.rows[0] = {}\n"
+        "    m.rows[0][1] = r\n"
+        "    del m.rows[0]\n"
+        "    m.rows.setdefault(0, {})\n"
+        "    m.rows[0].pop(1)\n"
+        "    m.rows |= r\n"
+        "    return Mat(n), Mat.identity(n), m.rows[0].get(1), m.rows.items(), r.pop()\n"
+    )
+    assert mat_row_writes(source) == [
+        "line 2: Mat(rows)",
+        "line 3: Mat(rows)",
+        "line 4: .rows write",
+        "line 5: .rows write",
+        "line 6: .rows write",
+        "line 7: .rows write",
+        "line 8: .rows setdefault()",
+        "line 9: .rows pop()",
+        "line 10: .rows write",
+    ]
+
+
+def test_only_linalg_writes_mat_rows():
+    found = [
+        f"{p.name}: {w}"
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "linalg.py"
+        for w in mat_row_writes(p.read_text())
+    ]
     assert found == []
 
 

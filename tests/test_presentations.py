@@ -12,8 +12,11 @@ from qrook.presentations import (
     b4_factors,
     eval_lincomb,
     ideal_generator_p,
+    _with_inverses,
     indecomposable_witness,
     lc,
+    lc_sub,
+    lincomb_specialize,
     map_P_to_X,
     map_X_to_P,
     projector_matrices,
@@ -157,12 +160,11 @@ def test_negative_control_corrupted_matrix_fails():
     assert any(not r.ok for r in report.results)
 
 
-@pytest.mark.parametrize("family", sorted(SUITES))
-def test_negative_control_every_family(family):
-    # the suite the CLI builds once per call must pass on a module and
-    # fail once a single entry of one generator is changed
-    # (X1 gets the eigenvalue 2, outside u = (0, 1); T1 is left alone
-    # because the rook suite inverts it)
+def _negative_control(family):
+    """The suite the CLI builds for family at k = 3, a module it passes on,
+    and the same module with one entry of one generator changed (X1 gets
+    the eigenvalue 2, outside u = (0, 1); T1 is left alone because the
+    rook suite inverts it)."""
     k = 3
     rels = SUITES[family](k, U01)
     good = cyclotomic_module(((1,), (2,)), U01).matrices
@@ -171,10 +173,47 @@ def test_negative_control_every_family(family):
     bad["X1"].set(0, 0, as_ratfunc(2))
     if family == "rook":
         good, bad = projector_matrices(good, k), projector_matrices(bad, k)
+    return rels, good, bad
+
+
+@pytest.mark.parametrize("family", sorted(SUITES))
+def test_negative_control_every_family(family):
+    # the suite must pass on a module and fail once a single entry of one
+    # generator is changed
+    rels, good, bad = _negative_control(family)
     assert verify(good, rels).passed
     report = verify(bad, rels)
     assert not report.passed
     assert all(r.ok == (r.residual == "0") for r in report.results)
+
+
+def _residual_oracle(assignment, rels, q0):
+    """(passed, witness) per relation, from the residual lhs - rhs built
+    as one linear combination and evaluated whole: the check verify
+    replaced by comparing the two sides."""
+    n = next(iter(assignment.values())).n
+    if q0 is not None:
+        assignment = {name: m.specialize(q0) for name, m in assignment.items()}
+    full = _with_inverses(assignment, rels, q0=q0)
+    out = []
+    for rel in rels:
+        comb = lc_sub(rel.lhs, rel.rhs)
+        if q0 is not None:
+            comb = lincomb_specialize(comb, q0)
+        r = eval_lincomb(comb, full, n)
+        out.append((r.is_zero(), r.first_entry_string()))
+    return out
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q0=2"])
+@pytest.mark.parametrize("family", sorted(SUITES))
+def test_verify_matches_the_residual_oracle(family, q0):
+    # every verdict and witness, passing and failing, is the residual's
+    rels, good, bad = _negative_control(family)
+    for assignment in (good, bad):
+        got = [(r.ok, r.residual) for r in verify(assignment, rels, q0=q0).results]
+        assert got == _residual_oracle(assignment, rels, q0)
+    assert any(not ok for ok, _ in got)
 
 
 def test_verify_report_json():
