@@ -432,6 +432,18 @@ def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:
     return Mat.zero(n) if total is None else total
 
 
+def _cancel_shared(lhs: LinComb, rhs: LinComb):
+    """lhs and rhs with each word of both moved to lhs, its coefficient
+    there lhs[w] - rhs[w] (the word dropped when that is zero)."""
+    shared = [(w, -c) for w, c in rhs.items() if w in lhs]
+    if not shared:
+        return lhs, rhs
+    return (
+        _accumulate(dict(lhs), shared),
+        {w: c for w, c in rhs.items() if w not in lhs},
+    )
+
+
 def verify(assignment: dict, relations, q0=None) -> Report:
     """Evaluate every relation; PASS iff its two sides are equal matrices.
 
@@ -444,6 +456,11 @@ def verify(assignment: dict, relations, q0=None) -> Report:
     failing relation builds the residual, for its witness entry
     (Mat.first_entry_string); a passing one reports "0".
 
+    A word on both sides is evaluated once: before any specialisation,
+    _cancel_shared moves it to the lhs with the difference of its
+    coefficients, or drops it when they are equal, as lc_sub(lhs, rhs)
+    would.  lhs - rhs is unchanged.
+
     At q0, the matrices and both sides' coefficients are specialised
     first, so the check is exact at q = q0."""
     if not assignment:
@@ -455,7 +472,7 @@ def verify(assignment: dict, relations, q0=None) -> Report:
     full = _with_inverses(assignment, relations, q0=q0)
     results = []
     for rel in relations:
-        lhs, rhs = rel.lhs, rel.rhs
+        lhs, rhs = _cancel_shared(rel.lhs, rel.rhs)
         if q0 is not None:
             lhs, rhs = lincomb_specialize(lhs, q0), lincomb_specialize(rhs, q0)
         a, b = eval_lincomb(lhs, full, n), eval_lincomb(rhs, full, n)

@@ -6,6 +6,7 @@ import pytest
 from qrook.cli import SUITES
 from qrook.errors import InvalidArgument, NotInvertible
 from qrook.linalg import Mat, hecke_inverse
+from qrook import presentations
 from qrook.presentations import (
     algebra_dimension,
     apply_substitution,
@@ -214,6 +215,27 @@ def test_verify_matches_the_residual_oracle(family, q0):
         got = [(r.ok, r.residual) for r in verify(assignment, rels, q0=q0).results]
         assert got == _residual_oracle(assignment, rels, q0)
     assert any(not ok for ok, _ in got)
+
+
+@pytest.mark.parametrize("family", sorted(SUITES))
+def test_shared_words_are_evaluated_once(family, monkeypatch):
+    # a word on both sides of a relation (the Bprime suite has them) is
+    # evaluated on one side only, and the two sides' words are the words
+    # of the residual lhs - rhs
+    rels, good, _ = _negative_control(family)
+    seen = []
+    evaluate = presentations.eval_lincomb
+
+    def recording(comb, assignment, n):
+        seen.append(set(comb))
+        return evaluate(comb, assignment, n)
+
+    monkeypatch.setattr(presentations, "eval_lincomb", recording)
+    verify(good, rels)
+    assert len(seen) == 2 * len(rels)
+    for rel, lhs, rhs in zip(rels, seen[::2], seen[1::2]):
+        assert not lhs & rhs
+        assert lhs | rhs == set(lc_sub(rel.lhs, rel.rhs))
 
 
 def test_verify_report_json():

@@ -115,9 +115,6 @@ def _commuting_hecke_generators(draw):
     return gens, n
 
 
-_generators = st.one_of(_small_generators(), _commuting_hecke_generators())
-
-
 def _saturated_pivots(gens, n, skip):
     """The pivots _saturate finds on the Q(q) path and, when every entry
     is a Laurent polynomial and no pivot lead is a non-unit, on the ring
@@ -137,14 +134,23 @@ def _saturated_pivots(gens, n, skip):
     return rational.pivots, ring.pivots
 
 
-@settings(deadline=None, max_examples=100)
-@given(_generators)
-def test_span_dimension_matches_rational_path(case):
-    gens, n = case
+def _check_span_paths(gens, n):
     assert span_dimension(gens, n) == rational_span_dimension(gens, n)
     # the skip table changes no pivot, on either path
     no_skip = [[False] * len(gens) for _ in gens]
     assert _saturated_pivots(gens, n, linalg._skip_table(gens)) == _saturated_pivots(gens, n, no_skip)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_small_generators())
+def test_span_dimension_matches_rational_path(case):
+    _check_span_paths(*case)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_commuting_hecke_generators())
+def test_commuting_hecke_spans_match_rational_path(case):
+    _check_span_paths(*case)
 
 
 def _as_ratfunc_vector(vec):
