@@ -16,13 +16,11 @@ the first lead entry that is not a unit, it runs from the start over Q(q)
 The ring path compiles each generator once into rows
 ``{k: ((j - k, exponent, int), ...)}``, so a product costs one row lookup
 per term of the vector, and ``RowSpan.reduce`` works in place on the
-fresh product.  Both paths leave out two kinds of product b h, for a
-basis vector b found from a product a g, because b h already lies in the
-span and the pivots are unchanged: h = g when g satisfies
-g^2 = alpha g + beta (a Hecke generator, an idempotent), and h listed
-before g when h g = g h (T_i and T_j with |i - j| >= 2, X1 and T_j with
-j >= 2).  Which products are left out is one table, ``_skip_table``,
-computed once per call.
+fresh product.  Both paths give each basis vector the word that found it
+and leave out every word with a proper suffix whose product reduced to
+zero: such a word already lies in the span, so the pivots are unchanged
+(the standard-monomial argument of Bergman's diamond lemma, proved at
+``_saturate``).
 """
 
 from __future__ import annotations
@@ -149,6 +147,7 @@ class Mat:
         orows = other.rows
         for i, arow in self.rows.items():
             acc: dict = {}
+            summed = False  # a product of nonzero entries is never zero
             for k, av in arow.items():
                 brow = orows.get(k)
                 if not brow:
@@ -156,8 +155,13 @@ class Mat:
                 for j, bv in brow.items():
                     prod = av * bv
                     cur = acc.get(j)
-                    acc[j] = prod if cur is None else cur + prod
-            acc = {j: v for j, v in acc.items() if not v.is_zero()}
+                    if cur is None:
+                        acc[j] = prod
+                    else:
+                        acc[j] = cur + prod
+                        summed = True
+            if summed:
+                acc = {j: v for j, v in acc.items() if not v.is_zero()}
             if acc:
                 out_rows[i] = acc
         return Mat(self.n, out_rows)
@@ -363,89 +367,59 @@ def _rational_product(vec: dict, g: Mat, n: int) -> dict:
     return {i * n + j: v for i, r in prod.rows.items() for j, v in r.items()}
 
 
-def _is_quadratic(g: Mat) -> bool:
-    """Whether g @ g == alpha g + beta for some scalars alpha, beta.
-
-    alpha and beta are read from entries: from an off-diagonal nonzero
-    (i, j) of g, alpha = (g @ g)[i, j] / g[i, j] and beta = (g @ g)[i, i]
-    - alpha g[i, i]; for a diagonal g, from its first two distinct
-    diagonal values d, e (padded with 0), alpha = d + e and beta = -d e.
-    The identity itself is then checked exactly."""
-    g2 = g @ g
-    off = next(((i, j) for i, r in g.rows.items() for j in r if j != i), None)
-    if off is not None:
-        i, j = off
-        alpha = g2.get(i, j) / g.get(i, j)
-        beta = g2.get(i, i) - alpha * g.get(i, i)
-    else:
-        d, e = (list(dict.fromkeys(g.get(i, i) for i in range(g.n))) + [RF_ZERO] * 2)[:2]
-        alpha, beta = d + e, -(d * e)
-    return g2 == g.scale(alpha).add_scalar(beta)
-
-
-def _skip_table(generators: list) -> list:
-    """skip[f][t]: whether _saturate leaves out b g_t for a basis vector b
-    found from a product with g_f.  skip[f][f] is _is_quadratic(g_f);
-    skip[f][t] for t < f is the exact test g_f g_t == g_t g_f; skip[f][t]
-    for t > f is False (proof at _saturate)."""
-    return [
-        [_is_quadratic(g) if t == f else t < f and g @ h == h @ g
-         for t, h in enumerate(generators)]
-        for f, g in enumerate(generators)
-    ]
-
-
-def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int,
-              skip: list) -> int:
+def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int) -> int:
     """Breadth-first saturation: from the identity, each basis vector, in
     the order found, is multiplied by every generator in turn, and each
     product outside the span is inserted and queued.
 
-    Some products are not formed, because they are already in the span.
-    Say the basis vector b was found by reducing a g_f, with generator f:
-    b = c (a g_f - sum_m l_m b_m) over basis vectors b_m found before b.
-    Every vector found before b is taken before b, so its products with
-    every generator are in the span when b is taken (formed then, or
-    skipped by the same argument).  Then b g_t is skipped when skip[f][t]
-    holds (see _skip_table):
+    Every basis vector carries the word that found it: () for the
+    identity, words[i] + (t,) for basis[i] times generator t.  The words
+    whose product reduced to zero are kept in a set, and a candidate
+    w + (t,) is not formed when one of its proper suffixes is in that set,
+    because it already lies in the span and every pivot is unchanged:
 
-    - t = f and g_f is quadratic, g_f^2 = alpha g_f + beta.  Then
-      b g_f = c (alpha a g_f + beta a - sum_m l_m b_m g_f): a and a g_f
-      lie in the span, and so does each b_m g_f.
-    - t < f and g_t g_f = g_f g_t.  Then
-      b g_t = c (a g_t g_f - sum_m l_m b_m g_t).  a g_t was formed (or
-      skipped) before a g_f, as t < f, so it lies in the span of vectors
-      found before b, and each of those times g_f is in the span; so is
-      each b_m g_t.
+    - The loop meets candidates in degree-lexicographic order (shorter
+      words first, then letter by letter from the left), which is
+      admissible: u < v implies x u y < x v y.
+    - So when a candidate is formed, the span holds every word smaller
+      than it, and "reduces to zero" means "lies in the span of smaller
+      words".
+    - That set of words is closed under left multiplication: u = sum of
+      words v_m < u gives x u = sum of x v_m with x v_m < x u.  So a word
+      with such a suffix lies in the span of smaller words, which the
+      span already holds.
+    - Subwords of a standard word (one not in the span of smaller words)
+      are standard, and w is a basis word; so only suffixes that end in t
+      need checking, and a suffix left out itself has a shorter suffix in
+      the set.
 
-    A skipped product would reduce to zero, so the pivots are those of
-    the loop without any skip.  No rule holds for t > f: a g_t is formed
-    after a g_f, so it need not lie in the span of vectors found before
-    b."""
+    The rules g^2 = alpha g + beta (a Hecke generator, an idempotent) and
+    g_f g_t = g_t g_f for t < f are special cases: (f, f) and (f, t) are
+    two-letter words that reduce to zero."""
     basis = [span.insert(identity)]
-    found_by = [[False] * len(generators)]  # skip[f] when basis[i] came from generator f
+    words = [()]
+    dependent = set()
     i = 0
     while i < len(basis):
-        skips = found_by[i]
+        w = words[i]
         for t, g in enumerate(generators):
-            if skips[t]:
+            if any(w[j:] + (t,) in dependent for j in range(1, len(w) + 1)):
                 continue
             vec = span.insert(product(basis[i], g, n))
             if vec:
                 basis.append(vec)
-                found_by.append(skip[t])
+                words.append(w + (t,))
+            else:
+                dependent.add(w + (t,))
         i += 1
     return len(span)
 
 
-def rational_span_dimension(generators: list[Mat], n: int, skip=None) -> int:
+def rational_span_dimension(generators: list[Mat], n: int) -> int:
     """span_dimension computed over Q(q) throughout: the general path,
-    and the oracle the ring path is tested against.  skip is
-    _skip_table(generators) when the caller has it already."""
-    if skip is None:
-        skip = _skip_table(generators)
+    and the oracle the ring path is tested against."""
     identity = {i * (n + 1): RF_ONE for i in range(n)}
-    return _saturate(RowSpan(), identity, generators, _rational_product, n, skip)
+    return _saturate(RowSpan(), identity, generators, _rational_product, n)
 
 
 def span_dimension(generators: list[Mat], n: int) -> int:
@@ -454,14 +428,10 @@ def span_dimension(generators: list[Mat], n: int) -> int:
     Breadth-first saturation starting from the identity: whenever a
     product falls outside the current span it is appended (after pivot
     normalization) and later multiplied by every generator in turn.
-    Terminates since the span dimension is at most n^2.  The table
-    _skip_table is computed once: each generator g is tested for a
-    quadratic relation g^2 = alpha g + beta (Hecke generators and
-    idempotents satisfy one), and each pair for commuting.  A basis
-    vector found as a product with g is not multiplied by g again when g
-    is quadratic, nor by a generator h listed before g with h g = g h:
-    those products already lie in the span (proof at _saturate).  Both
-    paths share the table.
+    Terminates since the span dimension is at most n^2.  A word that
+    has a proper suffix whose product reduced to zero is not formed: it
+    already lies in the span (proof at _saturate).  Both paths use the
+    rule.
 
     Which path runs: when every generator entry is a Laurent polynomial
     (its denominator a monic power of q), the ring path saturates in a
@@ -471,19 +441,19 @@ def span_dimension(generators: list[Mat], n: int) -> int:
     the same order as the Q(q) path and applies the same pivot rule, and
     while every pivot's lead entry is a unit +-q^a, normalising by its
     inverse keeps every vector in Z[q, q^-1] and equal, entry for entry,
-    to the Q(q) path's vector; so every dependence decision is the same.
-    A lead entry that is not a unit raises NonUnitPivot, and the
-    computation starts again from the identity on the Q(q) path
+    to the Q(q) path's vector; so every dependence decision, and so every
+    word left out, is the same.  A lead entry that is not a unit raises
+    NonUnitPivot, and the computation starts again from the identity, and
+    from an empty set of reduced words, on the Q(q) path
     (rational_span_dimension), which also runs at once when some
     generator entry has another denominator.
     """
-    skip = _skip_table(generators)
     rows = [_compile(g) for g in generators]
     if all(r is not None for r in rows):
         # no empty slice: the zero exponent is left out when n is 0
         identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
         try:
-            return _saturate(LaurentSpan(), identity, rows, _laurent_product, n, skip)
+            return _saturate(LaurentSpan(), identity, rows, _laurent_product, n)
         except NonUnitPivot:
             pass
-    return rational_span_dimension(generators, n, skip)
+    return rational_span_dimension(generators, n)

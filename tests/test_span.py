@@ -1,5 +1,6 @@
 """Word-span saturation: the ring path over Z[q, q^-1] against the Q(q)
-path, which stays the oracle of record."""
+path, which stays the oracle of record, and the words _saturate leaves
+out against a saturation that forms every product."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from qrook.linalg import (
     Mat,
     NonUnitPivot,
     RowSpan,
-    _is_quadratic,
     rational_span_dimension,
     span_dimension,
 )
@@ -61,7 +61,7 @@ def _small_generators(draw):
     """1 to 3 generators of size at most 3.  Besides dense draws and Hecke
     blocks, a generator may be diagonal (diagonals commute with each
     other) or g @ g + c g for an earlier generator g (which commutes with
-    g), so that the commuting skip is exercised."""
+    g), so that two-letter words reduce to zero."""
     n = draw(st.integers(0, 3))
     count = draw(st.integers(1, 3))
     entries = st.lists(_ENTRY, min_size=n * n, max_size=n * n)
@@ -90,7 +90,7 @@ def _commuting_hecke_generators(draw):
     eigenvalue q or -q^-1 times the identity, and one of those eigenvalues
     on every 1-block, so T^2 = (q - q^-1) T + 1.  At size 3 or less a word
     span fills up after a few products whatever is skipped; these spans
-    are large enough that skipping a product that is not in the span
+    are large enough that leaving out a product that is not in the span
     changes the pivots."""
     n = draw(st.integers(4, 6))
     blocks, i = [], 0
@@ -115,20 +115,71 @@ def _commuting_hecke_generators(draw):
     return gens, n
 
 
-def _saturated_pivots(gens, n, skip):
-    """The pivots _saturate finds on the Q(q) path and, when every entry
+@st.composite
+def _tensor_space_generators(draw):
+    """The phiP generators of R_k on (C^1 + C^1)^k or (C^1 + C^2)^k,
+    k = 2 or 3, in a drawn order, at u = (0, 1) (the ring path) or
+    (1, 3) (a restart).  At k = 3 their word spans have standard words
+    of length 3 and more that end in a pair whose reverse reduced to
+    zero (X1 T2 = T2 X1), so a rule that leaves out a word without a
+    dependent suffix changes the pivots."""
+    asg = phiP(draw(st.integers(2, 3)), GradedBasis(draw(st.sampled_from([(1, 1), (1, 2)]))),
+               draw(st.sampled_from([U01, U13])))
+    gens = draw(st.permutations(list(asg.values())))
+    return gens, gens[0].n
+
+
+@st.composite
+def _with_a_dependent_letter(draw, generators):
+    """A draw of generators with a zero matrix, the identity or a copy of
+    one of them put in at a drawn place, so that a one-letter word
+    reduces to zero and every word ending in it is left out."""
+    gens, n = draw(generators)
+    extra = draw(st.sampled_from(["zero", "identity", "repeat"]))
+    g = Mat(n) if extra == "zero" else Mat.identity(n) if extra == "identity" else draw(st.sampled_from(gens))
+    gens.insert(draw(st.integers(0, len(gens))), g)
+    return gens, n
+
+
+def _plain_saturate(span, identity, generators, product, n):
+    """The breadth-first saturation of _saturate without its rule: every
+    basis vector times every generator, each product formed.  Returns the
+    words whose product reduced to zero, in the order met."""
+    basis, words, dependent = [span.insert(identity)], [()], []
+    i = 0
+    while i < len(basis):
+        for t, g in enumerate(generators):
+            vec = span.insert(product(basis[i], g, n))
+            word = words[i] + (t,)
+            if vec:
+                basis.append(vec)
+                words.append(word)
+            else:
+                dependent.append(word)
+        i += 1
+    return dependent
+
+
+def _plain_span_dimension(span, *args):
+    """_plain_saturate with _saturate's signature and result."""
+    _plain_saturate(span, *args)
+    return len(span)
+
+
+def _saturated_pivots(gens, n, saturate):
+    """The pivots saturate finds on the Q(q) path and, when every entry
     is a Laurent polynomial and no pivot lead is a non-unit, on the ring
-    path (else None), with the given skip table."""
+    path (else None)."""
     rational = RowSpan()
     identity = {i * (n + 1): RF_ONE for i in range(n)}
-    linalg._saturate(rational, identity, gens, linalg._rational_product, n, skip)
+    saturate(rational, identity, gens, linalg._rational_product, n)
     rows = [linalg._compile(g) for g in gens]
     if any(r is None for r in rows):
         return rational.pivots, None
     ring = LaurentSpan()
     identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
     try:
-        linalg._saturate(ring, identity, rows, linalg._laurent_product, n, skip)
+        saturate(ring, identity, rows, linalg._laurent_product, n)
     except NonUnitPivot:
         return rational.pivots, None
     return rational.pivots, ring.pivots
@@ -136,9 +187,8 @@ def _saturated_pivots(gens, n, skip):
 
 def _check_span_paths(gens, n):
     assert span_dimension(gens, n) == rational_span_dimension(gens, n)
-    # the skip table changes no pivot, on either path
-    no_skip = [[False] * len(gens) for _ in gens]
-    assert _saturated_pivots(gens, n, linalg._skip_table(gens)) == _saturated_pivots(gens, n, no_skip)
+    # the words left out change no pivot, on either path
+    assert _saturated_pivots(gens, n, linalg._saturate) == _saturated_pivots(gens, n, _plain_saturate)
 
 
 @settings(deadline=None, max_examples=100)
@@ -153,6 +203,16 @@ def test_commuting_hecke_spans_match_rational_path(case):
     _check_span_paths(*case)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(
+    _with_a_dependent_letter(_small_generators()),
+    _with_a_dependent_letter(_commuting_hecke_generators()),
+    _with_a_dependent_letter(_tensor_space_generators()),
+))
+def test_saturate_keeps_the_pivots_of_the_plain_saturation(case):
+    _check_span_paths(*case)
+
+
 def _as_ratfunc_vector(vec):
     """A LaurentSpan vector {exponent: {index: int}} as {index: RatFunc}."""
     out = {}
@@ -164,7 +224,7 @@ def _as_ratfunc_vector(vec):
 
 def _spans(monkeypatch, generators, n):
     """Run span_dimension and the Q(q) path; return the spans each
-    saturated and the number of RowSpan.reduce calls each made."""
+    saturated and, for each RowSpan.reduce call, the span it reduced in."""
     spans, calls = [], []
     saturate, reduce = linalg._saturate, RowSpan.reduce
 
@@ -173,7 +233,7 @@ def _spans(monkeypatch, generators, n):
         return saturate(span, *args)
 
     def counting_reduce(self, vec):
-        calls.append(type(self))
+        calls.append(self)
         return reduce(self, vec)
 
     monkeypatch.setattr(linalg, "_saturate", recording_saturate)
@@ -189,7 +249,7 @@ def test_ring_path_repeats_the_rational_elimination(monkeypatch):
     assert dims == (70, 70)
     ring, rational = spans
     assert type(ring) is LaurentSpan and type(rational) is RowSpan
-    assert calls.count(LaurentSpan) == calls.count(RowSpan) > 70
+    assert calls.count(ring) == calls.count(rational) > 70
     # the same pivots, holding the same vectors entry for entry
     assert ring.pivots.keys() == rational.pivots.keys()
     for lead, vec in rational.pivots.items():
@@ -216,49 +276,62 @@ def test_restart_on_a_non_unit_pivot(monkeypatch):
     assert predicted_centralizer_dimension(4, GradedBasis((1, 1))) == 70
 
 
-def _no_skip(monkeypatch):
-    """Make span_dimension and the Q(q) path form every product."""
-    monkeypatch.setattr(linalg, "_skip_table", lambda gens: [[False] * len(gens) for _ in gens])
-
-
-@pytest.mark.parametrize("u, ring_calls", [(U01, (136, 281)), (U13, (5, 5))], ids=["ring", "restart"])
-def test_skip_keeps_the_pivots(monkeypatch, u, ring_calls):
+@pytest.mark.parametrize(
+    "u, calls_per_span, calls_per_span_all",
+    [(U01, [88, 88], [281, 281]), (U13, [5, 88, 88], [5, 281, 281])],
+    ids=["ring", "restart"],
+)
+def test_skip_keeps_the_pivots(monkeypatch, u, calls_per_span, calls_per_span_all):
     asg = phiP(4, GradedBasis((1, 1)), u)
     gens = [asg[name] for name in sorted(asg)]
     dims, spans, calls = _spans(monkeypatch, gens, gens[0].n)
     monkeypatch.undo()
-    _no_skip(monkeypatch)
+    monkeypatch.setattr(linalg, "_saturate", _plain_span_dimension)
     dims_all, spans_all, calls_all = _spans(monkeypatch, gens, gens[0].n)
     assert dims == dims_all == (70, 70)
     assert [type(s) for s in spans] == [type(s) for s in spans_all]
     # every span: the ring path (cut short at u = (1, 3)), the Q(q) restart
     # and the Q(q) oracle
     assert [s.pivots for s in spans] == [s.pivots for s in spans_all]
-    assert len(calls) < len(calls_all)
-    # reduce calls on the ring path, with the skips and without
-    assert (calls.count(LaurentSpan), calls_all.count(LaurentSpan)) == ring_calls
+    # RowSpan.reduce calls in each span, with the words left out and
+    # with every product formed
+    assert [calls.count(s) for s in spans] == calls_per_span
+    assert [calls_all.count(s) for s in spans_all] == calls_per_span_all
 
 
-def test_skip_table():
+def test_two_letter_dependent_words():
+    # the products a saturation that forms every product finds in the span
     asg = phiP(4, GradedBasis((1, 1)), U01)
     names = sorted(asg)
     assert names == ["T1", "T2", "T3", "X1"]
-    skip = linalg._skip_table([asg[name] for name in names])
-    marked = {(names[f], names[t]) for f, row in enumerate(skip) for t, s in enumerate(row) if s}
-    quadratic = {(name, name) for name in names}
-    # T1 T3 = T3 T1 and X1 commutes with T2 and T3; T1 T2, T2 T3 and X1 T1
-    # do not commute, and no generator listed after g_f is marked
-    assert marked == quadratic | {("T3", "T1"), ("X1", "T2"), ("X1", "T3")}
+    n = asg["T1"].n
+    identity = {i * (n + 1): RF_ONE for i in range(n)}
+    dependent = _plain_saturate(RowSpan(), identity, [asg[name] for name in names],
+                                linalg._rational_product, n)
+    pairs = {tuple(names[t] for t in word) for word in dependent if len(word) == 2}
+    squares = {(name, name) for name in names}
+    # every generator is quadratic; T1 T3 = T3 T1 and X1 commutes with T2
+    # and T3, so the later of each commuting pair is dependent; T1 T2,
+    # T2 T3 and X1 T1 do not commute
+    assert pairs == squares | {("T3", "T1"), ("X1", "T2"), ("X1", "T3")}
 
 
 def test_skip_needs_a_quadratic_generator():
     # 1, q, q^2 are distinct, so g^2 is not in the span of 1 and g
     g = Mat.diagonal([1, Q, Q * Q])
-    assert not _is_quadratic(g)
     assert span_dimension([g], 3) == rational_span_dimension([g], 3) == 3
+    assert _saturated_pivots([g], 3, linalg._saturate) == _saturated_pivots([g], 3, _plain_saturate)
 
 
-def test_quadratic_detector():
+def _quadratic(g):
+    """Whether the saturation finds g g, or g itself, in the span of
+    smaller words, i.e. g^2 = alpha g + beta for some scalars."""
+    identity = {i * (g.n + 1): RF_ONE for i in range(g.n)}
+    dependent = _plain_saturate(RowSpan(), identity, [g], linalg._rational_product, g.n)
+    return (0,) in dependent or (0, 0) in dependent
+
+
+def test_square_reduces_to_zero_iff_quadratic():
     asg = phiP(3, GradedBasis((1, 1)), U13)
     accepted = [
         asg["T1"],
@@ -266,19 +339,23 @@ def test_quadratic_detector():
         asg["X1"],
         phiP(3, GradedBasis((1, 1)), U01)["X1"],  # diagonal, an idempotent
         Mat.diagonal([1, 3, 3]),  # (g - 1)(g - 3) = 0
-        Mat.identity(3).scale(Q + 1),
+        _hecke_block(3, 0, 2),
+        Mat.identity(3).scale(Q + 1),  # these three: g itself reduces to zero
         Mat(3),
         Mat(0),
-        _hecke_block(3, 0, 2),
     ]
-    assert all(_is_quadratic(g) for g in accepted)
+    assert all(_quadratic(g) for g in accepted)
     # every 2 x 2 matrix is quadratic (Cayley-Hamilton), so these have size 3
     rejected = [
         Mat.diagonal([1, Q, Q * Q]),
         Mat.from_dense([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent of order 3
         Mat.from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),  # a 3-cycle, g^3 = 1
     ]
-    assert not any(_is_quadratic(g) for g in rejected)
+    assert not any(_quadratic(g) for g in rejected)
+    # a quadratic g spans 1 and g; the words left out keep every pivot
+    assert [span_dimension([g], g.n) for g in accepted + rejected] == [2] * 6 + [1, 1, 0] + [3] * 3
+    for g in accepted + rejected:
+        assert _saturated_pivots([g], g.n, linalg._saturate) == _saturated_pivots([g], g.n, _plain_saturate)
 
 
 def test_zero_size_span():
@@ -307,3 +384,9 @@ def test_laurent_conversion():
 
 def test_regular_dimension_4():
     assert regular_dimension(4) == 209
+
+
+def test_centralizer_dimension_at_k7():
+    # 3,558 products formed, against 10,641 with only the two-letter rules
+    asg = phiP(7, GradedBasis((1, 1)), U01)
+    assert algebra_dimension(asg) == predicted_centralizer_dimension(7, GradedBasis((1, 1))) == 3432
