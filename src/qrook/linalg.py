@@ -16,11 +16,19 @@ the first lead entry that is not a unit, it runs from the start over Q(q)
 The ring path compiles each generator once into rows
 ``{k: ((j - k, exponent, int), ...)}``, so a product costs one row lookup
 per term of the vector, and ``RowSpan.reduce`` works in place on the
-fresh product.  Both paths give each basis vector the word that found it
-and leave out every word with a proper suffix whose product reduced to
-zero: such a word already lies in the span, so the pivots are unchanged
-(the standard-monomial argument of Bergman's diamond lemma, proved at
-``_saturate``).
+fresh product.  Both paths leave out every word with a proper suffix
+whose product reduced to zero: such a word already lies in the span, so
+the pivots are unchanged (the standard-monomial argument of Bergman's
+diamond lemma, proved at ``_saturate``).  The rule is kept with suffix
+links: each basis vector knows the basis vector of its word without the
+first letter and two bitmasks of letters, so a candidate costs one bit
+test.
+
+``span_dimension(generators, n, vector=v)`` saturates the orbit of v
+instead, as the row v^T times the transposed generators: n entries per
+vector in place of n^2.  The suffix rule is exact there only when
+a -> a v is injective on the algebra, as on the identity element that
+``rook.regular_dimension`` starts from.
 """
 
 from __future__ import annotations
@@ -80,6 +88,13 @@ class Mat:
             [self.rows.get(i, {}).get(j, RF_ZERO) for j in range(self.n)]
             for i in range(self.n)
         ]
+
+    def transpose(self) -> "Mat":
+        rows: dict = {}
+        for i, r in self.rows.items():
+            for j, v in r.items():
+                rows.setdefault(j, {})[i] = v
+        return Mat(self.n, rows)
 
     def copy(self) -> "Mat":
         return Mat(self.n, {i: dict(r) for i, r in self.rows.items()})
@@ -367,16 +382,17 @@ def _rational_product(vec: dict, g: Mat, n: int) -> dict:
     return {i * n + j: v for i, r in prod.rows.items() for j, v in r.items()}
 
 
-def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int) -> int:
-    """Breadth-first saturation: from the identity, each basis vector, in
+def _saturate(span: RowSpan, start: dict, generators: list, product, n: int) -> int:
+    """Breadth-first saturation: from start, each basis vector, in
     the order found, is multiplied by every generator in turn, and each
     product outside the span is inserted and queued.
 
-    Every basis vector carries the word that found it: () for the
-    identity, words[i] + (t,) for basis[i] times generator t.  The words
-    whose product reduced to zero are kept in a set, and a candidate
-    w + (t,) is not formed when one of its proper suffixes is in that set,
-    because it already lies in the span and every pivot is unchanged:
+    Every basis vector i stands for the word that found it: () for
+    start, words[i] + (t,) for basis[i] times generator t.  A word
+    whose product reduced to zero is dependent, and a candidate w + (t,)
+    is not formed when one of its proper suffixes w[j:] + (t,), j >= 1, is
+    dependent, because it already lies in the span and every pivot is
+    unchanged:
 
     - The loop meets candidates in degree-lexicographic order (shorter
       words first, then letter by letter from the left), which is
@@ -390,70 +406,131 @@ def _saturate(span: RowSpan, identity: dict, generators: list, product, n: int) 
       span already holds.
     - Subwords of a standard word (one not in the span of smaller words)
       are standard, and w is a basis word; so only suffixes that end in t
-      need checking, and a suffix left out itself has a shorter suffix in
-      the set.
+      need checking, and a suffix left out itself has a shorter suffix
+      that is dependent.
 
-    The rules g^2 = alpha g + beta (a Hecke generator, an idempotent) and
+    The rule is kept with suffix links, as in Aho & Corasick (1975), so a
+    candidate costs one bit test and no word is built.  Basis vector i
+    keeps suffix[i], the basis index s of words[i][1:] (0 for a word of
+    one letter), and two bitmasks over the letters: reduced[i], the t
+    whose product words[i] + (t,) reduced to zero, and banned[i], the t
+    that the rule leaves out.  Then banned[0] = 0, and for i >= 1
+
+        banned[i] = reduced[s] | banned[s]:
+
+    - The suffixes of words[i] + (t,) are words[i][j:] + (t,) for
+      j = 1 .. |words[i]|.  The one for j = 1 is words[s] + (t,), which
+      is dependent iff it was formed and reduced to zero, i.e. iff t is
+      in reduced[s] (s < i, so s is processed and reduced[s] complete).
+    - The ones for j >= 2 are words[s][j - 1:] + (t,), the proper
+      suffixes of words[s] + (t,); one of them is dependent iff t is in
+      banned[s].
+
+    A product words[i] + (t,) that is inserted has t outside both masks
+    of s, so words[s] + (t,) was formed and inserted too, and its index,
+    found[s, t], is the suffix link of the new vector.  The rules
+    g^2 = alpha g + beta (a Hecke generator, an idempotent) and
     g_f g_t = g_t g_f for t < f are special cases: (f, f) and (f, t) are
     two-letter words that reduce to zero."""
-    basis = [span.insert(identity)]
-    words = [()]
-    dependent = set()
+    basis = [span.insert(start)]
+    suffix, banned, reduced = [0], [], []
+    found = {}  # (i, t) -> basis index of words[i] + (t,)
     i = 0
     while i < len(basis):
-        w = words[i]
+        s = suffix[i]
+        skip = reduced[s] | banned[s] if i else 0
+        zero = 0
         for t, g in enumerate(generators):
-            if any(w[j:] + (t,) in dependent for j in range(1, len(w) + 1)):
+            if skip >> t & 1:
                 continue
             vec = span.insert(product(basis[i], g, n))
             if vec:
+                found[i, t] = len(basis)
+                suffix.append(found[s, t] if i else 0)
                 basis.append(vec)
-                words.append(w + (t,))
             else:
-                dependent.add(w + (t,))
+                zero |= 1 << t
+        banned.append(skip)
+        reduced.append(zero)
         i += 1
     return len(span)
 
 
-def rational_span_dimension(generators: list[Mat], n: int) -> int:
+def _start(generators: list[Mat], n: int, vector):
+    """The vector a saturation starts from and the generators it
+    multiplies by on the right: the flattened n x n identity and the
+    generators or, for span_dimension(..., vector=v), v as a 1 x n row
+    and the transposes, since v^T g_1^T ... g_m^T = (g_m ... g_1 v)^T."""
+    if vector is None:
+        return {i * (n + 1): RF_ONE for i in range(n)}, generators
+    return dict(vector), [g.transpose() for g in generators]
+
+
+def _laurent_vector(vec: dict):
+    """vec as a LaurentSpan vector {exponent: {index: int}}, or None if
+    an entry is not a Laurent polynomial."""
+    out: dict = {}
+    for j, v in vec.items():
+        p = v.laurent()
+        if p is None:
+            return None
+        for e, c in p.items():
+            out.setdefault(e, {})[j] = c
+    return out
+
+
+def rational_span_dimension(generators: list[Mat], n: int, vector=None) -> int:
     """span_dimension computed over Q(q) throughout: the general path,
     and the oracle the ring path is tested against."""
-    identity = {i * (n + 1): RF_ONE for i in range(n)}
-    return _saturate(RowSpan(), identity, generators, _rational_product, n)
+    start, generators = _start(generators, n, vector)
+    return _saturate(RowSpan(), start, generators, _rational_product, n)
 
 
-def span_dimension(generators: list[Mat], n: int) -> int:
-    """Dimension of the span of all words in the generators.
+def span_dimension(generators: list[Mat], n: int, vector=None) -> int:
+    """Dimension of the span of all words in the generators or, given a
+    vector v of length n ({index: RatFunc}), of all words applied to v.
 
-    Breadth-first saturation starting from the identity: whenever a
-    product falls outside the current span it is appended (after pivot
-    normalization) and later multiplied by every generator in turn.
-    Terminates since the span dimension is at most n^2.  A word that
-    has a proper suffix whose product reduced to zero is not formed: it
-    already lies in the span (proof at _saturate).  Both paths use the
-    rule.
+    Breadth-first saturation starting from the identity (or from v):
+    whenever a product falls outside the current span it is appended
+    (after pivot normalization) and later multiplied by every generator
+    in turn.  Terminates since the span dimension is at most n^2 (n for
+    the orbit of v).  A word that has a proper suffix whose product
+    reduced to zero is not formed: it already lies in the span (proof at
+    _saturate).  Both paths use the rule.
 
-    Which path runs: when every generator entry is a Laurent polynomial
-    (its denominator a monic power of q), the ring path saturates in a
-    LaurentSpan over Z[q, q^-1], with each generator compiled once into
-    rows {k: ((j - k, exponent, int), ...)} of integer coefficients.  It
-    is exact and gives the Q(q) answer: it meets the same candidates in
-    the same order as the Q(q) path and applies the same pivot rule, and
-    while every pivot's lead entry is a unit +-q^a, normalising by its
-    inverse keeps every vector in Z[q, q^-1] and equal, entry for entry,
-    to the Q(q) path's vector; so every dependence decision, and so every
-    word left out, is the same.  A lead entry that is not a unit raises
-    NonUnitPivot, and the computation starts again from the identity, and
-    from an empty set of reduced words, on the Q(q) path
-    (rational_span_dimension), which also runs at once when some
-    generator entry has another denominator.
+    The orbit of v is saturated as the row v^T times the transposes
+    g^T, so the word (t_1, ..., t_m) gives (g_tm ... g_t1 v)^T.  The rule
+    is exact on it when a -> a v is injective on the span A of the words,
+    as for the identity element of a regular representation.  Then
+    M -> v^T M is injective on the span of the transposed words, so a
+    candidate reduces to zero iff its word in the transposes does, and
+    every decision, every word left out and the dimension are those of
+    span_dimension on the transposes.  Without injectivity the rule is
+    unsound, even for a cyclic vector of a faithful module (E_12 e_1 = 0
+    for the 2 x 2 matrices acting on C^2): that u v lies in the span of
+    smaller words applied to v says nothing about u (x v).
+
+    Which path runs: when every generator entry (and every entry of v)
+    is a Laurent polynomial (its denominator a monic power of q), the
+    ring path saturates in a LaurentSpan over Z[q, q^-1], with each
+    generator compiled once into rows {k: ((j - k, exponent, int), ...)}
+    of integer coefficients.  It is exact and gives the Q(q) answer: it
+    meets the same candidates in the same order as the Q(q) path and
+    applies the same pivot rule, and while every pivot's lead entry is a
+    unit +-q^a, normalising by its inverse keeps every vector in
+    Z[q, q^-1] and equal, entry for entry, to the Q(q) path's vector; so
+    every dependence decision, and so every word left out, is the same.
+    A lead entry that is not a unit raises NonUnitPivot, and the
+    computation starts again from the identity (or v), with no word
+    known to reduce to zero, on the Q(q) path (rational_span_dimension),
+    which also runs at once when some entry has another denominator.
     """
-    rows = [_compile(g) for g in generators]
-    if all(r is not None for r in rows):
-        # no empty slice: the zero exponent is left out when n is 0
-        identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
+    start, gens = _start(generators, n, vector)
+    rows = [_compile(g) for g in gens]
+    start = _laurent_vector(start)
+    if start is not None and all(r is not None for r in rows):
         try:
-            return _saturate(LaurentSpan(), identity, rows, _laurent_product, n)
+            return _saturate(LaurentSpan(), start, rows, _laurent_product, n)
         except NonUnitPivot:
             pass
-    return rational_span_dimension(generators, n)
+    return rational_span_dimension(generators, n, vector)

@@ -7,8 +7,7 @@ import math
 from itertools import combinations, permutations
 
 from .errors import InvalidArgument
-from .linalg import Mat
-from .presentations import algebra_dimension
+from .linalg import Mat, span_dimension
 from .qfield import RF_ONE
 
 
@@ -182,5 +181,19 @@ def monoid_algebra_dimension(k: int) -> int:
 
 def regular_dimension(k: int) -> int:
     """Word-span dimension of the left-regular representation; equals
-    monoid_algebra_dimension(k) by faithfulness."""
-    return algebra_dimension(left_regular_assignment(k))
+    monoid_algebra_dimension(k) by faithfulness.
+
+    It is computed on the orbit of e_1, the basis vector of the identity
+    element, not on the n x n matrices (n = |R_k|): every a in the span
+    is a sum of c_m L_m over left multiplications L_m by monoid elements
+    m, and a e_1 = sum of c_m e_m, so a -> a e_1 is injective.  The
+    dimension is therefore the same, and every word the suffix rule of
+    linalg._saturate leaves out is left out soundly (see span_dimension).
+    The decisions are even those of the n x n span: there a word is
+    dependent iff its monoid element was met before, on the orbit iff
+    the element of the reversed word was, and the reversed word gives
+    the inverse element, since every generator is its own inverse."""
+    asg = left_regular_assignment(k)
+    gens = [asg[name] for name in sorted(asg)]
+    identity = enumerate_rook(k).index(PartialInjection.identity(k))
+    return span_dimension(gens, gens[0].n, {identity: RF_ONE})

@@ -83,6 +83,7 @@ def test_operations_store_no_zero(case, data):
         "-": a - b,
         "a - a": a - a,
         "neg": -a,
+        "transpose": a.transpose(),
         "scale": a.scale(c),
         "add_scalar": a.add_scalar(c),
         "diagonal": Mat.diagonal(b_dense[0] if n else []),
@@ -107,6 +108,7 @@ def test_operations_store_no_zero(case, data):
             m.set(0, col, RF_ZERO)
         results["set row 0"] = m
     assert {name: malformed(m) for name, m in results.items() if malformed(m)} == {}
+    assert a.transpose().to_dense() == [list(col) for col in zip(*a.to_dense())]
     # == is exactly equality of the dense matrices
     assert (a == b) == (a_dense == b_dense)
     assert ((a - b).is_zero()) == (a == b)

@@ -1,6 +1,8 @@
 """Word-span saturation: the ring path over Z[q, q^-1] against the Q(q)
-path, which stays the oracle of record, and the words _saturate leaves
-out against a saturation that forms every product."""
+path, which stays the oracle of record, the words _saturate leaves out
+against a saturation that forms every product, its suffix links against
+the tuple rule they replaced, and the orbit of a vector against the
+word span."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,13 @@ from qrook.linalg import (
 )
 from qrook.presentations import algebra_dimension
 from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
-from qrook.rook import regular_dimension
+from qrook.rook import (
+    PartialInjection,
+    enumerate_rook,
+    left_regular_assignment,
+    regular_dimension,
+    rook_cardinality,
+)
 from qrook.seminormal import cyclotomic_module
 from qrook.tensor import GradedBasis, centralizer_dimension, phiP, predicted_centralizer_dimension
 
@@ -166,23 +174,71 @@ def _plain_span_dimension(span, *args):
     return len(span)
 
 
+def _tuple_rule_saturate(span, start, generators, product, n):
+    """_saturate with its rule kept on tuples, as before suffix links: each
+    basis vector's word, the set of words whose product reduced to zero,
+    and a candidate left out when one of its proper suffixes is in it."""
+    basis, words, dependent = [span.insert(start)], [()], set()
+    i = 0
+    while i < len(basis):
+        w = words[i]
+        for t, g in enumerate(generators):
+            if any(w[j:] + (t,) in dependent for j in range(1, len(w) + 1)):
+                continue
+            vec = span.insert(product(basis[i], g, n))
+            if vec:
+                basis.append(vec)
+                words.append(w + (t,))
+            else:
+                dependent.add(w + (t,))
+        i += 1
+    return len(span)
+
+
+def _paths(gens, n):
+    """(span, start, generators, product) for the Q(q) path and, when
+    every entry is a Laurent polynomial, for the ring path."""
+    out = [(RowSpan(), {i * (n + 1): RF_ONE for i in range(n)}, gens, linalg._rational_product)]
+    rows = [linalg._compile(g) for g in gens]
+    if all(r is not None for r in rows):
+        identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
+        out.append((LaurentSpan(), identity, rows, linalg._laurent_product))
+    return out
+
+
+def _formed_products(gens, n, saturate):
+    """The products saturate forms, in order, as (vector, generator
+    index), on each path of _paths; on the ring path up to its end or
+    its first non-unit pivot lead."""
+    out = []
+    for span, start, generators, product in _paths(gens, n):
+        formed = []
+
+        def recording(vec, letter, n, product=product, formed=formed):
+            t, g = letter
+            formed.append((vec, t))
+            return product(vec, g, n)
+
+        try:
+            saturate(span, start, list(enumerate(generators)), recording, n)
+        except NonUnitPivot:
+            formed.append("NonUnitPivot")
+        out.append(formed)
+    return out
+
+
 def _saturated_pivots(gens, n, saturate):
     """The pivots saturate finds on the Q(q) path and, when every entry
     is a Laurent polynomial and no pivot lead is a non-unit, on the ring
     path (else None)."""
-    rational = RowSpan()
-    identity = {i * (n + 1): RF_ONE for i in range(n)}
-    saturate(rational, identity, gens, linalg._rational_product, n)
-    rows = [linalg._compile(g) for g in gens]
-    if any(r is None for r in rows):
-        return rational.pivots, None
-    ring = LaurentSpan()
-    identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
-    try:
-        saturate(ring, identity, rows, linalg._laurent_product, n)
-    except NonUnitPivot:
-        return rational.pivots, None
-    return rational.pivots, ring.pivots
+    pivots = [None, None]
+    for path, (span, *args) in enumerate(_paths(gens, n)):
+        try:
+            saturate(span, *args, n)
+        except NonUnitPivot:
+            break
+        pivots[path] = span.pivots
+    return tuple(pivots)
 
 
 def _check_span_paths(gens, n):
@@ -211,6 +267,17 @@ def test_commuting_hecke_spans_match_rational_path(case):
 ))
 def test_saturate_keeps_the_pivots_of_the_plain_saturation(case):
     _check_span_paths(*case)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(
+    _with_a_dependent_letter(_small_generators()),
+    _with_a_dependent_letter(_commuting_hecke_generators()),
+    _with_a_dependent_letter(_tensor_space_generators()),
+))
+def test_suffix_links_form_the_products_of_the_tuple_rule(case):
+    gens, n = case
+    assert _formed_products(gens, n, linalg._saturate) == _formed_products(gens, n, _tuple_rule_saturate)
 
 
 def _as_ratfunc_vector(vec):
@@ -382,11 +449,78 @@ def test_laurent_conversion():
     assert as_ratfunc("1/2").laurent() is None
 
 
-def test_regular_dimension_4():
-    assert regular_dimension(4) == 209
+def _products_formed(monkeypatch, run):
+    """run() and the number of products it formed on the ring path."""
+    calls = []
+    product = linalg._laurent_product
+
+    def counting(*args):
+        calls.append(None)
+        return product(*args)
+
+    monkeypatch.setattr(linalg, "_laurent_product", counting)
+    result = run()
+    monkeypatch.undo()
+    return result, len(calls)
 
 
-def test_centralizer_dimension_at_k7():
-    # 3,558 products formed, against 10,641 with only the two-letter rules
+def test_products_formed_at_k6(monkeypatch):
+    # schurweyl --m 1,1 --k 6 --u 0,1: 5,544 products with every one formed
+    asg = phiP(6, GradedBasis((1, 1)), U01)
+    assert _products_formed(monkeypatch, lambda: algebra_dimension(asg)) == (924, 988)
+
+
+def test_centralizer_dimension_at_k7(monkeypatch):
+    # 10,641 products with only the two-letter rules
     asg = phiP(7, GradedBasis((1, 1)), U01)
-    assert algebra_dimension(asg) == predicted_centralizer_dimension(7, GradedBasis((1, 1))) == 3432
+    assert _products_formed(monkeypatch, lambda: algebra_dimension(asg)) == (3432, 3558)
+    assert predicted_centralizer_dimension(7, GradedBasis((1, 1))) == 3432
+
+
+def _regular_dimensions(monkeypatch, k):
+    """regular_dimension(k), the orbit of the identity element, and the
+    n x n word span of the left-regular matrices, the oracle, each with
+    the products it formed."""
+    orbit = _products_formed(monkeypatch, lambda: regular_dimension(k))
+    square = _products_formed(monkeypatch, lambda: algebra_dimension(left_regular_assignment(k)))
+    return orbit, square
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_regular_dimension_orbit_matches_the_matrix_span(monkeypatch, k):
+    orbit, square = _regular_dimensions(monkeypatch, k)
+    assert orbit == square
+    assert orbit[0] == rook_cardinality(k)
+
+
+def test_regular_dimension_4(monkeypatch):
+    assert _regular_dimensions(monkeypatch, 4) == ((209, 288), (209, 288))
+
+
+def test_regular_dimension_5():
+    assert regular_dimension(5) == rook_cardinality(5) == 1546
+
+
+def test_orbit_paths_agree():
+    # the orbit of the identity element on the ring path, over Q(q)
+    # throughout, and from a multiple of it that is not a Laurent
+    # polynomial, which takes the Q(q) path at once
+    asg = left_regular_assignment(3)
+    gens = [asg[name] for name in sorted(asg)]
+    n = gens[0].n
+    e = enumerate_rook(3).index(PartialInjection.identity(3))
+    assert span_dimension(gens, n, {e: RF_ONE}) == rational_span_dimension(gens, n, {e: RF_ONE}) == 34
+    assert span_dimension(gens, n, {e: (Q + 1).inv()}) == 34
+
+
+def test_orbit_rule_needs_an_injective_vector():
+    # a e1 = e1, a e2 = e3 and b e1 = e2, so the orbit of e1 spans C^3;
+    # but a e1 reduces to zero, so the rule leaves out a b e1 = e3.  It
+    # is unsound here because (a - 1) e1 = 0: a -> a e1 is not injective.
+    a = Mat.from_dense([[1, 0, 0], [0, 0, 0], [0, 1, 0]])
+    b = Mat.from_dense([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    e1 = {0: RF_ONE}
+    plain = RowSpan()
+    _plain_saturate(plain, e1, [a.transpose(), b.transpose()], linalg._rational_product, 3)
+    assert len(plain) == 3
+    assert span_dimension([a, b], 3, e1) == rational_span_dimension([a, b], 3, e1) == 2
