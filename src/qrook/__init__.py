@@ -7,7 +7,6 @@ checks is verified to literal zero.
 """
 
 from .errors import (
-    ConventionNotFound,
     DegenerateContent,
     DivisionByZero,
     InvalidArgument,
@@ -26,7 +25,6 @@ from .qfield import (
 )
 
 __all__ = [
-    "ConventionNotFound",
     "DegenerateContent",
     "DivisionByZero",
     "InvalidArgument",

@@ -23,7 +23,3 @@ class DegenerateContent(ArithmeticError):
 
 class NotInvertible(ArithmeticError):
     """A matrix inverse was required but does not exist."""
-
-
-class ConventionNotFound(RuntimeError):
-    """No candidate coproduct convention intertwines with the braiding."""

@@ -35,7 +35,6 @@ from qrook.shapes import (
 )
 from qrook.tensor import (
     GradedBasis,
-    centralizer_dimension,
     lift,
     phiP,
     rmatrix,
@@ -341,8 +340,9 @@ def test_criterion_10_tensor_action():
         basis = GradedBasis((1, n - 1))
         reports = verify_phiP(k, basis, U01)
         ok = ok and reports["passed"] and reports["rook_identity"]
-    ok = ok and centralizer_dimension(2, GradedBasis((1, 2)), U01) == 7
-    ok = ok and centralizer_dimension(3, GradedBasis((1, 3)), U01) == 34
+    for k, dims, dim in ((2, (1, 2), 7), (3, (1, 3), 34)):
+        centralizer = verify_phiP(k, GradedBasis(dims), U01)["centralizer"]
+        ok = ok and centralizer == {"dimension": dim, "predicted": dim, "agree": True}
     elapsed = time.time() - start
     ok = ok and elapsed < 300
     _report(

@@ -87,6 +87,11 @@ CORPUS = [
         ["schurweyl", "--m", "1,1", "--k", "5", "--u", "1,3"],
         "0bc89f4b3c9112c108951244eae021d76788958bb7816e447dc6479efc4509bd",
     ),
+    # n^k = 128: the word span of the largest tensor-space action in the corpus
+    (
+        ["schurweyl", "--m", "1,1", "--k", "7", "--u", "0,1"],
+        "eddb21c53b730f872b8d1314d790c1062a74db23c738dcd455825406a86b8c08",
+    ),
     # nested int lists in the JSON writer's general path
     (
         ["bratteli", "--family", "B", "--levels", "4"],

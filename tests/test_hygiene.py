@@ -1,7 +1,8 @@
 """Source hygiene: no qrook module imports a name it never uses, nothing
 can change a RatFunc after ``RatFunc.__init__``, only ``linalg`` builds a
-Mat from a rows dict or writes into one, and no invariant rests on an
-``assert`` statement."""
+Mat from a rows dict or writes into one, no invariant rests on an
+``assert`` statement or a raised ``AssertionError``, and every exception
+class in ``errors.py`` is raised somewhere."""
 
 import ast
 from pathlib import Path
@@ -195,3 +196,49 @@ def test_detector_sees_assert_statements():
 def test_no_assert_statements():
     found = [f"{p.name}: {w}" for p in sorted(SRC.glob("*.py")) for w in assert_statements(p.read_text())]
     assert found == []
+
+
+def raise_faults(errors_source: str, sources: dict) -> list:
+    """Each ``raise AssertionError``, which reads as a failed ``assert``
+    and names no fault, and each exception class of ``errors_source``
+    that no module of ``sources`` (name -> source) raises."""
+    found, raised = [], set()
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            exc = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            if exc == "AssertionError":
+                found.append(f"{name} (line {node.lineno}): raise AssertionError")
+            raised.add(exc)
+    classes = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    return found + [f"{cls} is never raised" for cls in classes if cls not in raised]
+
+
+def test_detector_sees_assertion_errors_and_dead_exception_classes():
+    errors = "class Used(ValueError): pass\nclass Chained(Exception): pass\nclass Dead(RuntimeError): pass\n"
+    sources = {
+        "a.py": "def f(x):\n    if x:\n        raise AssertionError(x)\n    raise Used('x')\n",
+        "b.py": (
+            "def g():\n"
+            "    try:\n"
+            "        pass\n"
+            "    except KeyError as exc:\n"
+            "        raise errors.Chained() from exc\n"
+            "    except ValueError:\n"
+            "        raise\n"
+            "    raise builtins.AssertionError\n"
+            "Dead = 'Dead'\n"
+        ),
+    }
+    assert raise_faults(errors, sources) == [
+        "a.py (line 3): raise AssertionError",
+        "b.py (line 8): raise AssertionError",
+        "Dead is never raised",
+    ]
+
+
+def test_no_assertion_errors_and_every_exception_class_is_raised():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert raise_faults(sources["errors.py"], sources) == []

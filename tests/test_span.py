@@ -26,7 +26,7 @@ from qrook.rook import (
     rook_cardinality,
 )
 from qrook.seminormal import cyclotomic_module
-from qrook.tensor import GradedBasis, centralizer_dimension, phiP, predicted_centralizer_dimension
+from qrook.tensor import GradedBasis, phiP, predicted_centralizer_dimension, verify_phiP
 
 U01 = (as_ratfunc(0), as_ratfunc(1))
 U13 = (as_ratfunc(1), as_ratfunc(3))
@@ -339,7 +339,7 @@ def test_restart_on_a_non_unit_pivot(monkeypatch):
     assert [type(s) for s in spans] == [LaurentSpan, RowSpan, RowSpan]
     assert dims == (70, 70)
     monkeypatch.undo()
-    assert centralizer_dimension(4, GradedBasis((1, 1)), (1, 3)) == 70
+    assert verify_phiP(4, GradedBasis((1, 1)), (1, 3))["centralizer"]["dimension"] == 70
     assert predicted_centralizer_dimension(4, GradedBasis((1, 1))) == 70
 
 

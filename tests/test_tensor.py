@@ -10,10 +10,10 @@ from qrook.presentations import (
 from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, as_ratfunc, specialize
 from qrook.tensor import (
     GradedBasis,
+    braiding_commutes_with_coproduct,
     build_V,
-    centralizer_dimension,
+    coproduct,
     dop,
-    intertwiner_fix_coproduct,
     lift,
     phiP,
     predicted_centralizer_dimension,
@@ -37,19 +37,66 @@ def test_build_V_actions():
     assert v["qe1"].get(1, 1) == RF_ONE
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_ef_commutator_relation(n):
-    v = build_V(n)
+def _ef_commutator_holds(v: dict, n: int) -> bool:
+    """[e_i, f_j] = delta_ij (K_i - K_i^-1) / (q - q^-1) for the
+    generator matrices v, where K_i = q^(eps_i - eps_(i+1))."""
     coeff = (Q - QINV).inv()
     for i in range(1, n):
         for j in range(1, n):
             lhs = v[f"e{i}"] @ v[f"f{j}"] - v[f"f{j}"] @ v[f"e{i}"]
-            if i != j:
-                assert lhs.is_zero()
-            else:
+            if i == j:
                 k = v[f"qe{i}"] @ v[f"qe{i + 1}inv"]
                 kinv = v[f"qe{i}inv"] @ v[f"qe{i + 1}"]
-                assert lhs == (k - kinv).scale(coeff)
+                lhs = lhs - (k - kinv).scale(coeff)
+            if not lhs.is_zero():
+                return False
+    return True
+
+
+def _naive_coproduct(n: int) -> dict:
+    """x -> x (x) 1 + K (x) x for f as well as e, grouplike on the
+    Cartan part: the braiding commutes with it, but it is not an
+    algebra map."""
+    v = build_V(n)
+    out = coproduct(n)
+    for i in range(1, n):
+        k = v[f"qe{i}"] @ v[f"qe{i + 1}inv"]
+        f = v[f"f{i}"]
+        out[f"f{i}"] = lift(f, 2, 1, n) + lift(k, 2, 1, n) @ lift(f, 2, 2, n)
+    return out
+
+
+def _flip(n: int) -> Mat:
+    p = Mat.zero(n * n)
+    for i in range(n):
+        for j in range(n):
+            p.set(j * n + i, i * n + j, RF_ONE)
+    return p
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [pytest.param(build_V, n, id=str(n)) for n in (2, 3, 4)]
+    + [pytest.param(coproduct, n, id=f"coproduct-{n}") for n in (2, 3)],
+)
+def test_ef_commutator_relation(build, n):
+    # on V, and on V tensor V through Jimbo's coproduct: an algebra map
+    assert _ef_commutator_holds(build(n), n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_naive_coproduct_is_not_an_algebra_map(n):
+    naive = _naive_coproduct(n)
+    rm = rmatrix(n)
+    assert all(rm @ m == m @ rm for m in naive.values())
+    assert not _ef_commutator_holds(naive, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flip_does_not_commute_with_coproduct(n):
+    p = _flip(n)
+    assert p @ p == Mat.identity(n * n)
+    assert not all(p @ m == m @ p for m in coproduct(n).values())
 
 
 def test_rmatrix_three_cases():
@@ -159,23 +206,35 @@ def test_phiP_negative_control_corrupt_d():
     assert "cyclotomic:X1" in failing
 
 
+def _centralizer(k, dims, u):
+    return verify_phiP(k, GradedBasis(dims), u)["centralizer"]
+
+
 def test_centralizer_dimensions():
-    assert centralizer_dimension(2, GradedBasis((1, 2)), U01) == 7
-    assert centralizer_dimension(2, GradedBasis((1, 1)), U01) == 6
-    assert centralizer_dimension(3, GradedBasis((3,)), (as_ratfunc(1),)) == 6
+    assert _centralizer(2, (1, 2), U01) == {"dimension": 7, "predicted": 7, "agree": True}
+    assert _centralizer(2, (1, 1), U01) == {"dimension": 6, "predicted": 6, "agree": True}
+    assert _centralizer(3, (3,), (as_ratfunc(1),)) == {"dimension": 6, "predicted": 6, "agree": True}
     assert predicted_centralizer_dimension(3, GradedBasis((1, 3))) == 34
 
 
-def test_centralizer_desk_scale_guard():
-    with pytest.raises(InvalidArgument):
-        centralizer_dimension(5, GradedBasis((2, 2)), U01)
+def test_centralizer_at_n_to_the_k_128():
+    # the size schurweyl --m 1,1 --k 7 runs; no desk-scale bound on the library
+    assert _centralizer(7, (1, 1), U01) == {"dimension": 3432, "predicted": 3432, "agree": True}
+
+
+def test_centralizer_disagrees_at_a_non_semisimple_u():
+    # u = (1, 1): the suites pass while the span falls short
+    reports = verify_phiP(3, GradedBasis((1, 1)), (as_ratfunc(1), as_ratfunc(1)))
+    assert reports["cyclotomic"].passed
+    assert reports["centralizer"]["dimension"] < reports["centralizer"]["predicted"]
+    assert reports["centralizer"]["agree"] is False and reports["passed"] is False
 
 
 def test_coproduct_convention():
-    out = intertwiner_fix_coproduct(2)
-    assert out["passed"]
-    assert "K*x" in out["convention"]
-    assert intertwiner_fix_coproduct(3)["passed"]
+    for n in (2, 3):
+        assert braiding_commutes_with_coproduct(n)
+    with pytest.raises(InvalidArgument):
+        braiding_commutes_with_coproduct(1)
 
 
 def test_rmatrix_preserves_weight_space():
