@@ -102,9 +102,13 @@ def _braid(i: int) -> Relation:
     return Relation(f"A2:T{i}T{i + 1}", lc((1, (a, b, a))), lc((1, (b, a, b))))
 
 
+def _commute(tag: str, a: str, b: str) -> Relation:
+    """The relation "tag:ab", a b = b a."""
+    return Relation(f"{tag}:{a}{b}", lc((1, (a, b))), lc((1, (b, a))))
+
+
 def _distant(i: int, j: int) -> Relation:
-    a, b = f"T{i}", f"T{j}"
-    return Relation(f"A3:T{i}T{j}", lc((1, (a, b))), lc((1, (b, a))))
+    return _commute("A3", f"T{i}", f"T{j}")
 
 
 def _braid_suite(k: int):
@@ -128,22 +132,10 @@ def relations_rook(k: int):
         rels.append(Relation(f"R1:P{i}", lc((1, (p, p))), lc((1, (p,)))))
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            rels.append(
-                Relation(
-                    f"R2:P{i}P{j}",
-                    lc((1, (f"P{i}", f"P{j}"))),
-                    lc((1, (f"P{j}", f"P{i}"))),
-                )
-            )
+            rels.append(_commute("R2", f"P{i}", f"P{j}"))
     for i in range(1, k + 1):
         for j in range(i + 1, k):
-            rels.append(
-                Relation(
-                    f"R3:P{i}T{j}",
-                    lc((1, (f"P{i}", f"T{j}"))),
-                    lc((1, (f"T{j}", f"P{i}"))),
-                )
-            )
+            rels.append(_commute("R3", f"P{i}", f"T{j}"))
     for j in range(1, k):
         for i in range(j + 1, k + 1):
             rels.append(
@@ -191,14 +183,7 @@ def relations_Ak_presentation(k: int):
     if k < 2:
         raise InvalidArgument("this presentation needs k >= 2")
     rels = _braid_suite(k)
-    for j in range(2, k):
-        rels.append(
-            Relation(
-                f"B1:X1T{j}",
-                lc((1, ("X1", f"T{j}"))),
-                lc((1, (f"T{j}", "X1"))),
-            )
-        )
+    rels += [_commute("B1", "X1", f"T{j}") for j in range(2, k)]
     rels.append(Relation("B2:X1^2", lc((1, ("X1", "X1"))), lc((1, ("X1",)))))
     rels.append(_x1_t1_braid("B3"))
     rels.append(Relation("B4", lc_prod(b4_factors()), {}))
@@ -223,13 +208,7 @@ def relations_affine(k: int):
     rels = _braid_suite(k)
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            rels.append(
-                Relation(
-                    f"C4:X{i}X{j}",
-                    lc((1, (f"X{i}", f"X{j}"))),
-                    lc((1, (f"X{j}", f"X{i}"))),
-                )
-            )
+            rels.append(_commute("C4", f"X{i}", f"X{j}"))
     for i in range(1, k):
         rels.append(
             Relation(

@@ -15,6 +15,7 @@ from .linalg import Mat
 from .qfield import Q, QINV, as_ratfunc
 from .shapes import (
     SkewShape,
+    box_key,
     content,
     enumerate_standard_tableaux,
     is_multipartition,
@@ -44,7 +45,8 @@ class Representation:
 
 
 def _build_module(shape, k: int, ct) -> Representation:
-    """Common seminormal construction from a content function box -> RatFunc."""
+    """Common seminormal construction from a content function box -> RatFunc,
+    evaluated once per box."""
     basis = tuple(enumerate_standard_tableaux(shape))
     if not basis:
         raise InvalidArgument(f"shape {shape!r} has no standard tableaux")
@@ -52,9 +54,10 @@ def _build_module(shape, k: int, ct) -> Representation:
         raise InvalidArgument("shape size does not match k")
     index = {t.boxes: i for i, t in enumerate(basis)}
     d = len(basis)
+    contents = {box: ct(box) for box in basis[0].boxes}
     matrices = {}
     for i in range(1, k + 1):
-        matrices[f"X{i}"] = Mat.diagonal([ct(t.box_of(i)) for t in basis])
+        matrices[f"X{i}"] = Mat.diagonal([contents[t.box_of(i)] for t in basis])
     qdiff = Q - QINV
     for i in range(1, k):
         m = Mat(d)
@@ -68,7 +71,7 @@ def _build_module(shape, k: int, ct) -> Representation:
                 diag = -QINV
                 swap_standard = False
             else:
-                a, b = ct(bi), ct(bj)
+                a, b = contents[bi], contents[bj]
                 if a == b:
                     raise DegenerateContent(
                         f"equal contents for adjacent entries {i},{i + 1} "
@@ -140,7 +143,7 @@ def restrict(rep: Representation):
     out = []
     for smaller in sorted(blocks, key=_shape_sort_key):
         entries = blocks[smaller]
-        entries.sort(key=lambda e: tuple((b[0] or 0, b[1], b[2]) for b in e[0]))
+        entries.sort(key=lambda e: tuple(map(box_key, e[0])))
         out.append((smaller, tuple(i for _, i in entries)))
     return out
 

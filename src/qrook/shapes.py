@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm, prod
 
 from .errors import InvalidArgument
 from .qfield import RatFunc, as_ratfunc
@@ -186,12 +185,17 @@ class StandardTableau:
         return True
 
     def sort_key(self):
-        return tuple((b[0] or 0, b[1], b[2]) for b in self.boxes)
+        return tuple(map(box_key, self.boxes))
+
+
+def box_key(box):
+    """The canonical box order: component (0 for none), row, column."""
+    return (box[0] or 0, box[1], box[2])
 
 
 def enumerate_standard_tableaux(shape):
     """All standard tableaux of a shape, in canonical (lex) order."""
-    region = sorted(shape_boxes(shape), key=lambda b: (b[0] or 0, b[1], b[2]))
+    region = sorted(shape_boxes(shape), key=box_key)
     region_set = set(region)
     out = []
     filled = set()
@@ -246,37 +250,29 @@ def count_standard_tableaux(shape) -> int:
     return out
 
 
-# a dimension table sums f_lambda^2 over every shape of every k, so the same
-# components recur (dims --rook 11: 1,234 calls on 195 distinct arguments)
-AITKEN_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=AITKEN_CACHE_SIZE)
 def _aitken(outer: tuple, inner: tuple) -> int:
-    """n! * det[1 / (outer_i - inner_j - i + j)!] in exact arithmetic.
+    """n! * det[1 / (outer_i - inner_j - i + j)!] in integers.
 
-    Elimination needs no row exchange: the leading k x k minor is the same
-    determinant for the first k rows of outer and inner, a skew shape with
-    at least one standard tableau, so every pivot is positive.  The
-    arguments are tuples because the result is cached on them."""
+    With a_i = outer_i - i + rows and b_j = inner_j - j + rows (both >= 0),
+    row i times a_i! is [a_i! / (a_i - b_j)!] = [perm(a_i, b_j)], which is 0
+    when b_j > a_i.  Bareiss's fraction-free elimination (1968) takes that
+    integer determinant with exact ``//`` divisions.  It needs no row
+    exchange: the leading k x k minor is the same determinant for the first
+    k rows of outer and inner, a skew shape with at least one standard
+    tableau, so every pivot is positive."""
     rows = len(outer)
     inner = inner + (0,) * (rows - len(inner))
-    m = [
-        [
-            Fraction(1, factorial(d)) if d >= 0 else Fraction(0)
-            for d in (outer[i] - inner[j] - i + j for j in range(rows))
-        ]
-        for i in range(rows)
-    ]
-    det = Fraction(factorial(sum(outer) - sum(inner)))
-    for c in range(rows):
+    a = [outer[i] - i + rows for i in range(rows)]
+    m = [[perm(a[i], inner[j] - j + rows) for j in range(rows)] for i in range(rows)]
+    prev = 1
+    for c in range(rows - 1):
         pivot = m[c][c]
-        det *= pivot
         for r in range(c + 1, rows):
-            f = m[r][c] / pivot
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return int(det)
+            f = m[r][c]
+            m[r] = [(pivot * x - f * y) // prev for x, y in zip(m[r], m[c])]
+        prev = pivot
+    det = m[-1][-1] if rows else 1
+    return factorial(sum(outer) - sum(inner)) * det // prod(map(factorial, a))
 
 
 def content(box, u=None, shift: RatFunc | None = None) -> RatFunc:

@@ -1,4 +1,6 @@
+from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,9 +135,47 @@ def test_closed_form_count_large_shapes():
     assert count_standard_tableaux(((2,), (1, 1))) == 6
     assert count_standard_tableaux(SkewShape((3, 3), (1,))) == 5
     assert count_standard_tableaux(SkewShape((2, 2), (2, 2))) == 1
-    # lists from a library caller, although the determinant is cached on tuples
+    # lists from a library caller
     assert count_standard_tableaux([5, 4, 3, 2, 1]) == 292864
     assert count_standard_tableaux([(2,), [1, 1]]) == 6
+
+
+def _hook_length_count(p):
+    """n! over the product of the hook lengths of a partition."""
+    conj = [sum(1 for row in p if row > c) for c in range(p[0])] if p else []
+    hooks = 1
+    for r, row in enumerate(p):
+        for c in range(row):
+            hooks *= (row - c - 1) + (conj[c] - r - 1) + 1  # arm + leg + 1
+    return factorial(sum(p)) // hooks
+
+
+@lru_cache(maxsize=None)
+def _corner_removal_count(outer, inner):
+    """f(outer/inner) as the sum over the removable corners c of outer that
+    lie outside inner of f((outer - c)/inner), with f(inner/inner) = 1."""
+    if outer == inner:
+        return 1
+    padded = inner + (0,) * (len(outer) - len(inner))
+    total = 0
+    for r, row in enumerate(outer):
+        last = r == len(outer) - 1
+        if (last or row > outer[r + 1]) and row > padded[r]:
+            smaller = tuple(x for x in outer[:r] + (row - 1,) + outer[r + 1 :] if x)
+            total += _corner_removal_count(smaller, inner)
+    return total
+
+
+def test_closed_form_count_beyond_enumeration():
+    """Counts for shapes with more rows than the enumeration test reaches."""
+    partitions = [p for n in range(21) for p in enumerate_partitions(n)]
+    assert len(partitions) == 2714
+    for p in partitions:
+        assert count_standard_tableaux(p) == _hook_length_count(p), p
+    skews = list(_skew_shapes(12))
+    assert len(skews) == 8855
+    for s in skews:
+        assert count_standard_tableaux(s) == _corner_removal_count(s.outer, s.inner), s
 
 
 def test_tableaux_canonical_order():
