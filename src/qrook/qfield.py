@@ -9,9 +9,11 @@ representations.  Negative powers of q live in the fraction field
 (q^-1 is stored as 1/q).
 
 Canonicalisation uses integer arithmetic only.  After common powers of
-q are cancelled, the gcd of numerator and denominator comes from the
-primitive pseudo-remainder sequence, and both parts are divided by it
-with exact integer long division (a denominator c·q^e needs no gcd).
+q are cancelled, the heuristic gcd evaluates numerator and denominator
+at one large integer, reads a candidate gcd off the digits of the
+integer gcd, and keeps it only if it divides both exactly; those exact
+divisions give the reduced parts.  The primitive pseudo-remainder
+sequence is the fallback (a denominator c·q^e needs no gcd).
 ``+`` and ``*`` have one path each: (n1·d2 + n2·d1)/(d1·d2) and
 (n1·n2)/(d1·d2), canonicalised.  ``Fraction`` appears only in the
 result of specialisation at a rational q (``poly_eval`` itself runs on
@@ -117,32 +119,37 @@ def poly_eval(a, x: Fraction) -> Fraction:
     return Fraction(acc, scale // b)
 
 
-def poly_divexact(a, b):
-    """Exact division of integer polynomials by integer long division.
-
-    Raises InvalidArgument unless b divides a with an integral quotient."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    if not a:
-        return P_ZERO
+def _poly_quotient(a, b):
+    """a / b for nonzero a and b by integer long division, or None unless
+    b divides a with an integral quotient (stops at the first remainder)."""
     db = len(b) - 1
     n = len(a) - db
     if n <= 0:
-        raise InvalidArgument("division is not exact")
+        return None
     lb = b[-1]
     r = list(a)
     out = [0] * n
     for k in range(n - 1, -1, -1):
         c, m = divmod(r[k + db], lb)
         if m:
-            raise InvalidArgument("division is not exact over the integers")
+            return None
         if c:
             out[k] = c
             for i in range(db):
                 r[k + i] -= c * b[i]
-    if any(r[:db]):
-        raise InvalidArgument("division is not exact")
-    return tuple(out)
+    return None if any(r[:db]) else tuple(out)
+
+
+def poly_divexact(a, b):
+    """Exact division of integer polynomials by integer long division.
+
+    Raises InvalidArgument unless b divides a with an integral quotient."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    out = _poly_quotient(a, b) if a else P_ZERO
+    if out is None:
+        raise InvalidArgument("division is not exact over the integers")
+    return out
 
 
 def poly_primitive(a):
@@ -183,18 +190,62 @@ def _poly_gcd_prs(a, b):
     return a
 
 
-def _poly_gcd_shifted(a, b, v):
-    """gcd of the q-valuation-stripped parts of two nonzero polynomials,
-    times q^v.
+def _poly_gcd_heu(a, b):
+    """(g, a/g, b/g) with g the primitive gcd of two polynomials of
+    positive degree, by the heuristic gcd GCDHEU (Char, Geddes & Gonnet
+    1989), or None when every evaluation point tried fails.
 
-    The result is primitive with positive leading coefficient.  Integer
-    arithmetic only: the gcd comes from the primitive pseudo-remainder
-    sequence.
+    Let m be the smaller of the largest absolute coefficients of a and b,
+    and xi >= 2m + 2.  By Cauchy's bound a common root z has |z| < 1 + m,
+    so a common factor E of positive degree has |E(xi)| > xi - 1 - m >=
+    xi/2.  With c the common content of a and b, c·g(xi) divides
+    gamma = gcd(a(xi), b(xi)), so gamma/c <= xi/2 proves g = 1.
+    Otherwise let G have the symmetric xi-adic digits of gamma/c (each in
+    (-xi/2, xi/2]) as coefficients, and h = G/cont(G).  If h divides a
+    and b, then g = h·E and g(xi) divides G(xi) = cont(G)·h(xi), so E(xi)
+    divides cont(G) <= xi/2: E is a unit and h = g.  The long divisions
+    that check this give a/g and b/g.
     """
-    a = poly_primitive(poly_shift(a, -poly_valuation(a)))
-    b = poly_primitive(poly_shift(b, -poly_valuation(b)))
-    g = P_ONE if len(a) == 1 or len(b) == 1 else _poly_gcd_prs(a, b)
-    return poly_shift(g, v)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    c = gcd(*a, *b)
+    for _ in range(6):  # six points, as GCDHEU tries
+        ea = eb = 0
+        for x in reversed(a):
+            ea = ea * xi + x
+        for x in reversed(b):
+            eb = eb * xi + x
+        gamma = gcd(ea, eb) // c
+        if 2 * gamma <= xi:
+            return P_ONE, a, b
+        digits, half = [], (xi - 1) // 2
+        while gamma:
+            gamma, d = divmod(gamma + half, xi)
+            digits.append(d - half)
+        h = poly_primitive(tuple(digits))
+        qa = _poly_quotient(a, h)
+        qb = qa and _poly_quotient(b, h)
+        if qb:
+            return h, qa, qb
+        xi = xi * 73794 // 27011  # GCDHEU's step, about 2.73 times larger
+    return None
+
+
+def _poly_gcd_shifted(a, b, v):
+    """(g·q^v, a/(g·q^v), b/(g·q^v)) for two nonzero polynomials, where g
+    is the primitive gcd (positive leading coefficient) of their
+    q-valuation-stripped parts; v is at most either valuation.
+
+    Integer arithmetic only: the gcd comes from the heuristic gcd, with
+    the primitive pseudo-remainder sequence as the fallback when it fails.
+    """
+    va, vb = poly_valuation(a), poly_valuation(b)
+    a, b = a[va:], b[vb:]
+    found = (P_ONE, a, b) if len(a) == 1 or len(b) == 1 else _poly_gcd_heu(a, b)
+    if found is None:
+        g = _poly_gcd_prs(poly_primitive(a), poly_primitive(b))
+        found = g, _poly_quotient(a, g), _poly_quotient(b, g)
+    g, qa, qb = found
+    return poly_shift(g, v), poly_shift(qa, va - v), poly_shift(qb, vb - v)
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)(?:\*?q(?:\^(-?\d+))?)?$")
@@ -449,10 +500,7 @@ def _canonicalize(num, den):
         den = poly_shift(den, -v)
     # a denominator c·q^e needs no gcd: only a common power of q can cancel
     if len(den) > 1 and len(num) > 1 and any(den[:-1]):
-        g = _poly_gcd_shifted(num, den, 0)
-        if len(g) > 1:
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
+        _, num, den = _poly_gcd_shifted(num, den, 0)
     cn = abs(poly_content(num))
     cd = abs(poly_content(den))
     c = gcd(cn, cd)

@@ -13,12 +13,14 @@ from qrook.qfield import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    _poly_gcd_prs,
     _poly_gcd_shifted,
     as_ratfunc,
     poly_add,
     poly_divexact,
     poly_eval,
     poly_mul,
+    poly_primitive,
     poly_shift,
     poly_trim,
     quantum_factorial,
@@ -195,9 +197,13 @@ def test_gcd_with_leading_coefficient_divisible_by_prime(lead):
     g = (1, 1)
     a = poly_mul(g, (1, 0, lead))
     b = poly_mul(g, (5, 1))
-    assert _poly_gcd_shifted(a, b, 0) == g
-    assert _poly_gcd_shifted(poly_shift(a, 2), b, 1) == (0, 1, 1)
-    assert _poly_gcd_shifted((1, 0, lead), (5, 1), 0) == (1,)
+    assert _poly_gcd_shifted(a, b, 0) == (g, (1, 0, lead), (5, 1))
+    assert _poly_gcd_shifted(poly_shift(a, 2), poly_shift(b, 1), 1) == (
+        (0, 1, 1),
+        (0, 1, 0, lead),
+        (5, 1),
+    )
+    assert _poly_gcd_shifted((1, 0, lead), (5, 1), 0) == ((1,), (1, 0, lead), (5, 1))
 
 
 _LEADS = st.one_of(
@@ -210,6 +216,95 @@ _LEADS = st.one_of(
 def _nonzero_polys(draw, max_size=4):
     low = draw(st.lists(st.integers(-4, 4), max_size=max_size - 1))
     return tuple(low) + (draw(_LEADS),)
+
+
+_SCALES = st.sampled_from([1, 1, 2, -3, 6, BIG_PRIME])
+
+
+@st.composite
+def _planted(draw):
+    """(g, x, y): x = s·g·a·q^i and y = t·g·b·q^j from _nonzero_polys, so
+    x and y share the factor g and need not be primitive."""
+    g, a, b = draw(_nonzero_polys()), draw(_nonzero_polys()), draw(_nonzero_polys())
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    s, t = draw(_SCALES), draw(_SCALES)
+    x = poly_shift(tuple(s * c for c in poly_mul(g, a)), i)
+    y = poly_shift(tuple(t * c for c in poly_mul(g, b)), j)
+    return g, x, y
+
+
+def _strip(a):
+    """The primitive part of a with its factor q^valuation removed."""
+    return poly_primitive(poly_shift(a, -qfield.poly_valuation(a)))
+
+
+@settings(deadline=None)
+@given(_planted(), st.data())
+def test_gcd_matches_prs_on_planted_factors(planted, data):
+    """The heuristic gcd and its quotients agree with the primitive
+    pseudo-remainder sequence, for every v up to either valuation."""
+    g, x, y = planted
+    v = data.draw(st.integers(0, min(map(qfield.poly_valuation, (x, y)))))
+    prs = _poly_gcd_prs(_strip(x), _strip(y))
+    expected = poly_shift(prs, v)
+    assert _poly_gcd_shifted(x, y, v) == (
+        expected,
+        poly_divexact(x, expected),
+        poly_divexact(y, expected),
+    )
+    assert poly_divexact(prs, _strip(g))  # the planted factor divides it
+
+
+@settings(deadline=None)
+@given(_planted())
+def test_prs_fallback_gives_the_same_canonical_form(planted):
+    """With the heuristic made to fail, the PRS fallback yields the same
+    canonical form."""
+    _, x, y = planted
+    r = RatFunc(x, y)
+    with pytest.MonkeyPatch.context() as mp:
+        consulted = []
+        mp.setattr(qfield, "_poly_gcd_heu", lambda a, b: consulted.append(1))
+        fallback = RatFunc(x, y)
+        by_prs = qfield._poly_gcd_shifted(x, y, 0)
+    assert (fallback.num, fallback.den) == (r.num, r.den)
+    assert by_prs == _poly_gcd_shifted(x, y, 0)
+    # a constant stripped part has gcd 1 without either algorithm
+    assert consulted or min(len(_strip(x)), len(_strip(y))) == 1
+
+
+def test_arithmetic_calls_the_gcd_through_the_module_global(monkeypatch):
+    """perfbench's tracer counts gcds by replacing qfield._poly_gcd_shifted."""
+    calls = []
+    real = qfield._poly_gcd_shifted
+
+    def counting(a, b, v):
+        calls.append((a, b, v))
+        return real(a, b, v)
+
+    monkeypatch.setattr(qfield, "_poly_gcd_shifted", counting)
+    _empty_tables()
+    inverse = 1 / (Q + 1)  # a constant numerator needs no gcd
+    assert not calls
+    assert inverse + Q * inverse == RF_ONE  # q/(q + 1), then the sum
+    assert calls == [((0, 1), (1, 1), 0), ((1, 2, 1), (1, 2, 1), 0)]
+
+
+@settings(deadline=None)
+@given(_planted())
+def test_gcd_matches_sympy(planted):
+    """The gcd (with v the lower valuation, so q^v is its q-part) is the
+    primitive part of sympy.gcd, and its quotients multiply back."""
+    sympy = pytest.importorskip("sympy")
+    _, x, y = planted
+    q = sympy.Symbol("q")
+    expected = sympy.Poly(
+        sympy.gcd(sympy.Poly(x[::-1], q), sympy.Poly(y[::-1], q)), q
+    ).all_coeffs()[::-1]
+    v = min(map(qfield.poly_valuation, (x, y)))
+    g, qx, qy = _poly_gcd_shifted(x, y, v)
+    assert g == poly_primitive(tuple(int(c) for c in expected))
+    assert poly_mul(g, qx) == x and poly_mul(g, qy) == y
 
 
 def _sympy_canonical(sympy, num, den):
