@@ -206,7 +206,8 @@ def _poly_gcd_heu(a, b):
     divides cont(G) <= xi/2: E is a unit and h = g.  The long divisions
     that check this give a/g and b/g.
     """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    # any xi >= 2m + 2 is sound; 2m + 29 (SymPy's start) needs fewer retries
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     c = gcd(*a, *b)
     for _ in range(6):  # six points, as GCDHEU tries
         ea = eb = 0
