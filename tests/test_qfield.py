@@ -255,6 +255,19 @@ def test_gcd_matches_prs_on_planted_factors(planted, data):
     assert poly_divexact(prs, _strip(g))  # the planted factor divides it
 
 
+def test_gcd_tries_a_larger_point_when_a_candidate_does_not_divide(monkeypatch):
+    """At the first point xi = 2·6 + 29 = 41, gcd(x(41), y(41)) = 19·43 has
+    the digits 20q - 3, which do not divide x; xi = 112 finds q + 2."""
+    rejected = []
+    real = qfield._poly_quotient
+    monkeypatch.setattr(
+        qfield, "_poly_quotient", lambda a, b: real(a, b) or rejected.append(b)
+    )
+    x, y = (-6, -1, 1), (2, 7, 5, 1)  # (q - 3)(q + 2), (q + 2)(q^2 + 3q + 1)
+    assert qfield._poly_gcd_heu(x, y) == ((2, 1), (-3, 1), (1, 3, 1))
+    assert rejected == [(-3, 20)]
+
+
 @settings(deadline=None)
 @given(_planted())
 def test_prs_fallback_gives_the_same_canonical_form(planted):
