@@ -1,15 +1,20 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qrook import cli
 from qrook.cli import _emit, _join_signed_values, main, parse_q, parse_u_list
-from qrook.errors import InvalidArgument
+from qrook.errors import DegenerateContent, InvalidArgument, PoleAtPoint
 from qrook.qfield import Q, as_ratfunc
+from qrook.shapes import index_set_A
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -310,3 +315,217 @@ def test_closed_stdout_is_not_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# -- modules checked in forked workers ------------------------------------
+
+
+def assert_no_children():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_with_cpus(monkeypatch, capsys, cpus, argv):
+    """(exit code, stdout, stderr) of main(argv) with cpus CPUs counted."""
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert_no_children()
+    return code, captured.out, captured.err
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per os.fork this process makes."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+SPLIT_CASES = [
+    ["verify", "--family", family, "--k", k, *u, *q]
+    for family, k, u in [
+        ("rook", "4", []),
+        ("Ak", "4", []),
+        ("cyclo", "3", ["--u", "1,3"]),
+        ("aAlg", "4", ["--u", "1,3"]),
+        ("Bprime", "4", []),
+    ]
+    for q in ([], ["--q", "2"], ["--q=-1/2"])
+]
+
+
+@pytest.mark.parametrize("argv", SPLIT_CASES, ids=[" ".join(a) for a in SPLIT_CASES])
+def test_split_equals_serial(monkeypatch, capsys, argv):
+    forks = count_forks(monkeypatch)
+    serial = run_with_cpus(monkeypatch, capsys, 1, argv)
+    assert forks == []
+    modules = len(index_set_A(int(argv[4])))
+    for cpus in (2, 3):
+        del forks[:]
+        assert run_with_cpus(monkeypatch, capsys, cpus, argv) == serial
+        assert len(forks) == min(cpus, modules) - 1
+
+
+def test_workers_never_exceed_modules(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 64)
+    assert [cli._worker_count(n) for n in range(5)] == [1, 1, 2, 3, 4]
+    forks = count_forks(monkeypatch)
+    serial = run_with_cpus(monkeypatch, capsys, 1, ["verify", "--family", "rook", "--k", "1"])
+    assert run_with_cpus(monkeypatch, capsys, 64, ["verify", "--family", "rook", "--k", "1"]) == serial
+    assert len(forks) == len(index_set_A(1)) - 1
+
+
+def test_one_worker_without_fork_or_beside_a_thread(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+    assert cli._worker_count(10) == 4
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli._worker_count(10) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert cli._worker_count(10) == 1
+
+
+def test_split_is_largest_first_to_least_loaded():
+    assert cli._split([5, 1, 4, 2, 2], 1) == [[0, 1, 2, 3, 4]]
+    # 5 -> share 0, 4 -> 1, 2 (index 3) -> 1, 2 (index 4) -> 0, 1 -> 1
+    assert cli._split([5, 1, 4, 2, 2], 2) == [[0, 4], [1, 2, 3]]
+    assert cli._split([1, 1], 3) == [[0], [1], []]
+
+
+# the parent's share is the one module of parent_shape, and the child has
+# all the others; the error must be that of the first failing module
+@pytest.mark.parametrize(
+    "k,u,q,parent_shape,expected",
+    [
+        (
+            "4", "1,q^2", "symbolic", ((1,), (1, 1, 1)),
+            DegenerateContent("equal contents for adjacent entries 2,3 in shape ((3,), (1,))"),
+        ),
+        (
+            "4", "1,q^2", "symbolic", ((), (4,)),  # passes
+            DegenerateContent("equal contents for adjacent entries 2,3 in shape ((3,), (1,))"),
+        ),
+        (
+            "4", "1,q^2", "symbolic", ((3,), (1,)),  # the first failure
+            DegenerateContent("equal contents for adjacent entries 2,3 in shape ((3,), (1,))"),
+        ),
+        ("3", "1,4", "2", ((1,), (1, 1)), PoleAtPoint("denominator vanishes at q=2")),
+    ],
+)
+def test_child_error_is_the_serial_error(monkeypatch, capsys, k, u, q, parent_shape, expected):
+    argv = ["verify", "--family", "aAlg", "--k", k, "--u", u, "--q", q]
+    serial = run_with_cpus(monkeypatch, capsys, 1, argv)
+    assert serial == (2, "", f"error: {expected}\n")
+    monkeypatch.setattr(cli, "_module_cost", lambda shape: 100 if shape == parent_shape else 1)
+    splits = []
+    split = cli._split
+
+    def recording(costs, workers):
+        splits.append(split(costs, workers))
+        return splits[-1]
+
+    monkeypatch.setattr(cli, "_split", recording)
+    assert run_with_cpus(monkeypatch, capsys, 2, argv) == serial
+    assert splits[0][0] == [index_set_A(int(k)).index(parent_shape)]
+    with pytest.raises(type(expected)) as exc:
+        cli._verify_family("aAlg", int(k), parse_u_list(u), parse_q(q))
+    assert str(exc.value) == str(expected)
+    assert_no_children()
+
+
+def test_child_exception_is_reraised_and_child_never_returns(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+    statuses = []
+    waitpid = os.waitpid
+
+    def recording(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    def check(i):
+        if i == 1:
+            raise RuntimeError(f"module {i} raised in {'parent' if os.getpid() == parent else 'child'}")
+        return i
+
+    monkeypatch.setattr(os, "waitpid", recording)
+    try:
+        with pytest.raises(RuntimeError) as exc:
+            cli._map_forked(check, [1, 1, 1])
+    finally:
+        if os.getpid() != parent:  # a child got back here: end it, and fail below
+            os._exit(17)
+    assert str(exc.value) == "module 1 raised in child"
+    assert statuses == [0]
+    monkeypatch.undo()
+    assert_no_children()
+
+
+def test_smallest_failing_index_wins(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+
+    def check(i):
+        if i:
+            raise ValueError(f"module {i}")
+        return i
+
+    # shares [0, 3], [1, 4] and [2, 5] fail at 3, 1 and 2
+    assert cli._split([1] * 6, 3) == [[0, 3], [1, 4], [2, 5]]
+    with pytest.raises(ValueError, match="^module 1$"):
+        cli._map_forked(check, [1] * 6)
+    assert_no_children()
+
+
+def test_lost_child_share_runs_in_parent(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    parent = os.getpid()
+
+    class Local(Exception):
+        """Not picklable: pickle finds no class by this qualified name."""
+
+    def check(i):
+        if os.getpid() != parent and i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if i == 2:
+            raise Local(f"module {i} in {'parent' if os.getpid() == parent else 'child'}")
+        return i * i
+
+    assert cli._map_forked(check, [3, 2]) == [0, 1]
+    assert_no_children()
+    with pytest.raises(Local) as exc:
+        cli._map_forked(check, [3, 2, 1, 1])
+    assert str(exc.value) == "module 2 in parent"
+    assert_no_children()
+
+
+def test_interrupted_parent_kills_and_reaps_children(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    class Interrupt(BaseException):
+        pass
+
+    def check(i):
+        if os.getpid() == parent:
+            raise Interrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(Interrupt):
+        cli._map_forked(check, [1, 1])
+    assert time.monotonic() - start < 30
+    assert_no_children()

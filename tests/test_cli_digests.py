@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from qrook import cli
 from qrook.cli import main
 
 CORPUS = [
@@ -110,3 +111,12 @@ def test_stdout_digest(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+VERIFY = [(argv, digest) for argv, digest in CORPUS if argv[0] == "verify"]
+
+
+@pytest.mark.parametrize("argv,digest", VERIFY, ids=[" ".join(a) for a, _ in VERIFY])
+def test_stdout_digest_in_two_workers(monkeypatch, capsys, argv, digest):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    test_stdout_digest(capsys, argv, digest)
