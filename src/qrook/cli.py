@@ -218,11 +218,10 @@ def _map_forked(check, costs: list) -> list:
     since each share runs in increasing order and stops at its first
     failure.  A child that ends without a readable outcome has its share
     run here.  Every child is reaped before this returns or raises."""
-    # imported here, not at start-up, which every command pays for
-    import pickle
-    import signal
-
     shares = _split(costs, _worker_count(len(costs)))
+    if len(shares) > 1:  # neither start-up nor the one-CPU path pays for these
+        import pickle
+        import signal
     children = []
     done = False
     try:
