@@ -405,23 +405,19 @@ def test_split_is_largest_first_to_least_loaded():
     assert cli._split([1, 1], 3) == [[0], [1], []]
 
 
+# aAlg --k 4 --u 1,q^2 fails first at shape ((3,), (1,)), then at
+# ((2,), (2,)), ((2,), (1, 1)), ((1,), (2, 1)) and ((1,), (1, 1, 1))
+FIRST_DEGENERATE = DegenerateContent("equal contents for adjacent entries 2,3 in shape ((3,), (1,))")
+
+
 # the parent's share is the one module of parent_shape, and the child has
 # all the others; the error must be that of the first failing module
 @pytest.mark.parametrize(
     "k,u,q,parent_shape,expected",
     [
-        (
-            "4", "1,q^2", "symbolic", ((1,), (1, 1, 1)),
-            DegenerateContent("equal contents for adjacent entries 2,3 in shape ((3,), (1,))"),
-        ),
-        (
-            "4", "1,q^2", "symbolic", ((), (4,)),  # passes
-            DegenerateContent("equal contents for adjacent entries 2,3 in shape ((3,), (1,))"),
-        ),
-        (
-            "4", "1,q^2", "symbolic", ((3,), (1,)),  # the first failure
-            DegenerateContent("equal contents for adjacent entries 2,3 in shape ((3,), (1,))"),
-        ),
+        ("4", "1,q^2", "symbolic", ((1,), (1, 1, 1)), FIRST_DEGENERATE),  # fails later
+        ("4", "1,q^2", "symbolic", ((), (4,)), FIRST_DEGENERATE),  # passes
+        ("4", "1,q^2", "symbolic", ((3,), (1,)), FIRST_DEGENERATE),  # the first failure
         ("3", "1,4", "2", ((1,), (1, 1)), PoleAtPoint("denominator vanishes at q=2")),
     ],
 )
