@@ -382,7 +382,7 @@ def test_workers_never_exceed_modules(monkeypatch, capsys):
     assert len(forks) == len(index_set_A(1)) - 1
 
 
-def test_one_worker_without_fork_or_beside_a_thread(monkeypatch):
+def test_one_worker_without_fork_or_beside_a_thread(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
     assert cli._worker_count(10) == 4
     stop = threading.Event()
@@ -394,8 +394,11 @@ def test_one_worker_without_fork_or_beside_a_thread(monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+    argv = ["verify", "--family", "rook", "--k", "3"]
+    with_fork = run_with_cpus(monkeypatch, capsys, 4, argv)
     monkeypatch.delattr(os, "fork")
     assert cli._worker_count(10) == 1
+    assert run_with_cpus(monkeypatch, capsys, 4, argv) == with_fork
 
 
 def test_split_is_largest_first_to_least_loaded():
