@@ -250,6 +250,9 @@ def _poly_gcd_shifted(a, b, v):
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)(?:\*?q(?:\^(-?\d+))?)?$")
+# a term: an optional sign, then anything up to the next sign that does
+# not follow "^" (the one of a negative exponent stays in its term)
+_TOKEN_RE = re.compile(r"[+-]?(?:\^-|[^+-])+")
 
 
 def poly_to_string(a) -> str:
@@ -279,7 +282,9 @@ def poly_from_string(s: str):
     s = s.replace(" ", "")
     if not s:
         raise InvalidArgument("empty polynomial string")
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    terms = _TOKEN_RE.findall(s)
+    if "".join(terms) != s:  # a sign with no term after it
+        raise InvalidArgument(f"stray sign in polynomial {s!r}")
     coeffs: dict[int, int] = {}
     for term in terms:
         m = _TERM_RE.match(term)
@@ -298,7 +303,7 @@ def poly_from_string(s: str):
         else:
             e = 1 if es is None else int(es)
         if e < 0:
-            raise InvalidArgument("negative exponents belong in the fraction field")
+            raise InvalidArgument(f"negative exponent in {term!r}: write q^-e as 1/q^e")
         coeffs[e] = coeffs.get(e, 0) + c
     if not coeffs:
         return P_ZERO

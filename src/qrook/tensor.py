@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import forked
 from .errors import InvalidArgument
 from .linalg import Mat, hecke_inverse
 from .presentations import (
@@ -178,21 +179,33 @@ def verify_phiP(k: int, basis: GradedBasis, u) -> dict:
     ``predicted_centralizer_dimension``.  At a non-semisimple u the
     suites can pass while the span is smaller, so "passed" also needs
     the two to agree.  The verified assignment ``phiP(k, basis, u)`` is
-    returned under "assignment"."""
+    returned under "assignment".
+
+    The suites and the span are independent checks of one assignment,
+    so they run in forked._map_forked's processes; the span, the longer
+    of the two, runs in this one."""
     u = [as_ratfunc(x) for x in u]
     asg = phiP(k, basis, u)
-    full = tower_x_matrices(asg, k)
-    cyc = verify(full, relations_cyclotomic(k, u))
-    reports = {"cyclotomic": cyc, "assignment": asg}
-    passed = cyc.passed
-    if basis.r == 2 and basis.dims[0] == 1 and u[0].is_zero() and u[1] == RF_ONE:
-        if k >= 2:
-            reports["quotient"] = quo = verify(asg, relations_A_algebra(k, u[0], u[1]))
-            passed = passed and quo.passed
-        reports["rook_identity"] = ident = asg["X1"] == lift(dop(basis, u), k, 1, basis.n)
-        passed = passed and ident
+
+    def suites():
+        full = tower_x_matrices(asg, k)
+        cyc = verify(full, relations_cyclotomic(k, u))
+        reports = {"cyclotomic": cyc}
+        passed = cyc.passed
+        if basis.r == 2 and basis.dims[0] == 1 and u[0].is_zero() and u[1] == RF_ONE:
+            if k >= 2:
+                reports["quotient"] = quo = verify(asg, relations_A_algebra(k, u[0], u[1]))
+                passed = passed and quo.passed
+            reports["rook_identity"] = ident = asg["X1"] == lift(dop(basis, u), k, 1, basis.n)
+            passed = passed and ident
+        return reports, passed
+
+    # check 1, the span, costs more, so this process runs it
+    (reports, passed), dim = forked._map_forked(
+        lambda i: algebra_dimension(asg) if i else suites(), [1, 2]
+    )
+    reports["assignment"] = asg
     predicted = predicted_centralizer_dimension(k, basis)
-    dim = algebra_dimension(asg)
     reports["centralizer"] = {"dimension": dim, "predicted": predicted, "agree": dim == predicted}
     reports["passed"] = passed and dim == predicted
     return reports

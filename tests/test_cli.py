@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qrook import cli
+from qrook import cli, forked, tensor
 from qrook.cli import _emit, _join_signed_values, main, parse_q, parse_u_list
 from qrook.errors import DegenerateContent, InvalidArgument, PoleAtPoint
 from qrook.qfield import Q, as_ratfunc
@@ -267,6 +267,28 @@ def test_bad_input_exits_2_with_one_line_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+MALFORMED_VALUES = [
+    ["verify", "--family", "aAlg", "--k", "3", "--u", "1,3+"],
+    ["verify", "--family", "aAlg", "--k", "3", "--u", "1--2,3"],
+    ["verify", "--family", "cyclo", "--k", "2", "--u", "+,1"],
+    ["semisimple", "--family", "cyclo", "--k", "2", "--u", "1,q+-"],
+    ["schurweyl", "--m", "1,1", "--k", "2", "--u", "0,1++q"],
+    ["verify", "--family", "aAlg", "--k", "3", "--u", "0,q^-1"],
+    ["rep", "--k", "3", "--d", "1", "--u1", "q^-2"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_VALUES, ids=[" ".join(a) for a in MALFORMED_VALUES])
+def test_malformed_value_exits_2_and_names_the_fault(capsys, argv):
+    # a stray sign must not be dropped, which would check the values left
+    # and exit 0, and "q^-1" must not be split into "q^" and "-1"
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(("error: stray sign in polynomial ", "error: negative exponent in "))
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "spaced",
     [
@@ -328,7 +350,7 @@ def assert_no_children():
 
 def run_with_cpus(monkeypatch, capsys, cpus, argv):
     """(exit code, stdout, stderr) of main(argv) with cpus CPUs counted."""
-    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: cpus)
     code = main(argv)
     captured = capsys.readouterr()
     assert_no_children()
@@ -346,6 +368,19 @@ def count_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting)
     return forks
+
+
+def record_splits(monkeypatch):
+    """A list that gets each split forked._map_forked makes."""
+    splits = []
+    split = forked._split
+
+    def recording(costs, workers):
+        splits.append(split(costs, workers))
+        return splits[-1]
+
+    monkeypatch.setattr(forked, "_split", recording)
+    return splits
 
 
 SPLIT_CASES = [
@@ -373,9 +408,80 @@ def test_split_equals_serial(monkeypatch, capsys, argv):
         assert len(forks) == min(cpus, modules) - 1
 
 
+# schurweyl runs its relation suites (check 0) beside its span (check 1)
+SCHURWEYL_SPLIT_CASES = [
+    (["schurweyl", "--m", "1,1", "--k", "4", "--u", "0,1"], 0),
+    (["schurweyl", "--m", "1,2", "--k", "3", "--u", "0,1"], 0),
+    (["schurweyl", "--m", "1,1", "--k", "3", "--u", "1,1"], 1),  # the span is too small
+    (["schurweyl", "--m", "1,1", "--k", "3", "--u", "0"], 2),  # raised before either check
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", SCHURWEYL_SPLIT_CASES, ids=[" ".join(a) for a, _ in SCHURWEYL_SPLIT_CASES]
+)
+def test_schurweyl_split_equals_serial(monkeypatch, capsys, argv, code):
+    forks = count_forks(monkeypatch)
+    serial = run_with_cpus(monkeypatch, capsys, 1, argv)
+    assert serial[0] == code
+    assert forks == []
+    for cpus in (2, 3):
+        del forks[:]
+        assert run_with_cpus(monkeypatch, capsys, cpus, argv) == serial
+        assert len(forks) == (0 if code == 2 else min(cpus, 2) - 1)
+
+
+@pytest.mark.parametrize("span_fails", [False, True])
+def test_schurweyl_suite_error_is_the_serial_error(monkeypatch, capsys, span_fails):
+    # the suites run in the child: their error wins over the span's, which
+    # the serial code would never reach
+    def failing(name):
+        def raising(*args):
+            raise InvalidArgument(f"{name} failed")
+
+        return raising
+
+    monkeypatch.setattr(tensor, "relations_cyclotomic", failing("suite"))
+    if span_fails:
+        monkeypatch.setattr(tensor, "algebra_dimension", failing("span"))
+    argv = ["schurweyl", "--m", "1,1", "--k", "3", "--u", "0,1"]
+    forks = count_forks(monkeypatch)
+    expected = (2, "", "error: suite failed\n")
+    assert run_with_cpus(monkeypatch, capsys, 1, argv) == expected
+    assert run_with_cpus(monkeypatch, capsys, 2, argv) == expected
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--family", "rook", "--k", "4"], ["schurweyl", "--m", "1,1", "--k", "4", "--u", "0,1"]],
+    ids=" ".join,
+)
+def test_parent_runs_only_its_own_share(monkeypatch, capsys, argv):
+    # a child whose outcome could not be read would have its share rerun
+    # here: the output would not change, but the split would gain nothing
+    parent = os.getpid()
+    splits = record_splits(monkeypatch)
+    ran = []
+    run_share = forked._run_share
+
+    def recording(check, share):
+        if os.getpid() == parent:
+            ran.append(share)
+        return run_share(check, share)
+
+    monkeypatch.setattr(forked, "_run_share", recording)
+    code, _, err = run_with_cpus(monkeypatch, capsys, 2, argv)
+    assert (code, err) == (0, "")
+    assert len(splits) == 1 and len(splits[0]) == 2
+    assert ran == [splits[0][0]]
+    if argv[0] == "schurweyl":
+        assert splits[0] == [[1], [0]]  # the span in this process
+
+
 def test_workers_never_exceed_modules(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 64)
-    assert [cli._worker_count(n) for n in range(5)] == [1, 1, 2, 3, 4]
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 64)
+    assert [forked._worker_count(n) for n in range(5)] == [1, 1, 2, 3, 4]
     forks = count_forks(monkeypatch)
     serial = run_with_cpus(monkeypatch, capsys, 1, ["verify", "--family", "rook", "--k", "1"])
     assert run_with_cpus(monkeypatch, capsys, 64, ["verify", "--family", "rook", "--k", "1"]) == serial
@@ -383,13 +489,13 @@ def test_workers_never_exceed_modules(monkeypatch, capsys):
 
 
 def test_one_worker_without_fork_or_beside_a_thread(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
-    assert cli._worker_count(10) == 4
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 4)
+    assert forked._worker_count(10) == 4
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert cli._worker_count(10) == 1
+        assert forked._worker_count(10) == 1
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -397,15 +503,15 @@ def test_one_worker_without_fork_or_beside_a_thread(monkeypatch, capsys):
     argv = ["verify", "--family", "rook", "--k", "3"]
     with_fork = run_with_cpus(monkeypatch, capsys, 4, argv)
     monkeypatch.delattr(os, "fork")
-    assert cli._worker_count(10) == 1
+    assert forked._worker_count(10) == 1
     assert run_with_cpus(monkeypatch, capsys, 4, argv) == with_fork
 
 
 def test_split_is_largest_first_to_least_loaded():
-    assert cli._split([5, 1, 4, 2, 2], 1) == [[0, 1, 2, 3, 4]]
+    assert forked._split([5, 1, 4, 2, 2], 1) == [[0, 1, 2, 3, 4]]
     # 5 -> share 0, 4 -> 1, 2 (index 3) -> 1, 2 (index 4) -> 0, 1 -> 1
-    assert cli._split([5, 1, 4, 2, 2], 2) == [[0, 4], [1, 2, 3]]
-    assert cli._split([1, 1], 3) == [[0], [1], []]
+    assert forked._split([5, 1, 4, 2, 2], 2) == [[0, 4], [1, 2, 3]]
+    assert forked._split([1, 1], 3) == [[0], [1], []]
 
 
 # aAlg --k 4 --u 1,q^2 fails first at shape ((3,), (1,)), then at
@@ -429,14 +535,7 @@ def test_child_error_is_the_serial_error(monkeypatch, capsys, k, u, q, parent_sh
     serial = run_with_cpus(monkeypatch, capsys, 1, argv)
     assert serial == (2, "", f"error: {expected}\n")
     monkeypatch.setattr(cli, "_module_cost", lambda shape: 100 if shape == parent_shape else 1)
-    splits = []
-    split = cli._split
-
-    def recording(costs, workers):
-        splits.append(split(costs, workers))
-        return splits[-1]
-
-    monkeypatch.setattr(cli, "_split", recording)
+    splits = record_splits(monkeypatch)
     assert run_with_cpus(monkeypatch, capsys, 2, argv) == serial
     assert splits[0][0] == [index_set_A(int(k)).index(parent_shape)]
     with pytest.raises(type(expected)) as exc:
@@ -446,7 +545,7 @@ def test_child_error_is_the_serial_error(monkeypatch, capsys, k, u, q, parent_sh
 
 
 def test_child_exception_is_reraised_and_child_never_returns(monkeypatch):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
     parent = os.getpid()
     statuses = []
     waitpid = os.waitpid
@@ -464,7 +563,7 @@ def test_child_exception_is_reraised_and_child_never_returns(monkeypatch):
     monkeypatch.setattr(os, "waitpid", recording)
     try:
         with pytest.raises(RuntimeError) as exc:
-            cli._map_forked(check, [1, 1, 1])
+            forked._map_forked(check, [1, 1, 1])
     finally:
         if os.getpid() != parent:  # a child got back here: end it, and fail below
             os._exit(17)
@@ -475,7 +574,7 @@ def test_child_exception_is_reraised_and_child_never_returns(monkeypatch):
 
 
 def test_smallest_failing_index_wins(monkeypatch):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 3)
 
     def check(i):
         if i:
@@ -483,14 +582,14 @@ def test_smallest_failing_index_wins(monkeypatch):
         return i
 
     # shares [0, 3], [1, 4] and [2, 5] fail at 3, 1 and 2
-    assert cli._split([1] * 6, 3) == [[0, 3], [1, 4], [2, 5]]
+    assert forked._split([1] * 6, 3) == [[0, 3], [1, 4], [2, 5]]
     with pytest.raises(ValueError, match="^module 1$"):
-        cli._map_forked(check, [1] * 6)
+        forked._map_forked(check, [1] * 6)
     assert_no_children()
 
 
 def test_lost_child_share_runs_in_parent(monkeypatch):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 3)
     parent = os.getpid()
 
     class Local(Exception):
@@ -503,16 +602,16 @@ def test_lost_child_share_runs_in_parent(monkeypatch):
             raise Local(f"module {i} in {'parent' if os.getpid() == parent else 'child'}")
         return i * i
 
-    assert cli._map_forked(check, [3, 2]) == [0, 1]
+    assert forked._map_forked(check, [3, 2]) == [0, 1]
     assert_no_children()
     with pytest.raises(Local) as exc:
-        cli._map_forked(check, [3, 2, 1, 1])
+        forked._map_forked(check, [3, 2, 1, 1])
     assert str(exc.value) == "module 2 in parent"
     assert_no_children()
 
 
 def test_interrupted_parent_kills_and_reaps_children(monkeypatch):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
     parent = os.getpid()
 
     class Interrupt(BaseException):
@@ -525,6 +624,6 @@ def test_interrupted_parent_kills_and_reaps_children(monkeypatch):
 
     start = time.monotonic()
     with pytest.raises(Interrupt):
-        cli._map_forked(check, [1, 1])
+        forked._map_forked(check, [1, 1])
     assert time.monotonic() - start < 30
     assert_no_children()

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from qrook import cli
+from qrook import forked
 from qrook.cli import main
 
 CORPUS = [
@@ -113,10 +113,11 @@ def test_stdout_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-VERIFY = [(argv, digest) for argv, digest in CORPUS if argv[0] == "verify"]
+# the commands that fork: verify over modules, schurweyl its suites beside its span
+VERIFY = [(argv, digest) for argv, digest in CORPUS if argv[0] in ("verify", "schurweyl")]
 
 
 @pytest.mark.parametrize("argv,digest", VERIFY, ids=[" ".join(a) for a, _ in VERIFY])
 def test_stdout_digest_in_two_workers(monkeypatch, capsys, argv, digest):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forked, "_cpu_count", lambda: 2)
     test_stdout_digest(capsys, argv, digest)

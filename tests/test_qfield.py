@@ -111,6 +111,35 @@ def test_coercions():
         as_ratfunc(1.5)
 
 
+# a sign that no term follows raises rather than being dropped, and the
+# "-" of a negative exponent stays in its term, which then raises
+MALFORMED_POLYNOMIALS = [
+    ("1+", "stray sign"),
+    ("1--2", "stray sign"),
+    ("+", "stray sign"),
+    ("-", "stray sign"),
+    ("q+-", "stray sign"),
+    ("1++q", "stray sign"),
+    ("q^-1", "negative exponent in 'q^-1'"),
+    ("2-3q^-2", "negative exponent in '-3q^-2'"),
+    ("q^-", "cannot parse term 'q^-'"),
+    ("(1)/(q+)", "stray sign"),
+]
+
+
+@pytest.mark.parametrize("s,message", MALFORMED_POLYNOMIALS)
+def test_malformed_polynomial_strings_raise(s, message):
+    with pytest.raises(InvalidArgument) as exc:
+        as_ratfunc(s)
+    assert message in str(exc.value)
+
+
+def test_signs_between_terms_still_parse():
+    assert as_ratfunc("-q+1") == RatFunc((1, -1))
+    assert as_ratfunc("+2*q^2-3q-1") == RatFunc((-1, -3, 2))
+    assert as_ratfunc("(q^2-1)/(-q)") == RatFunc((1, 0, -1), (0, 1))
+
+
 def test_gcd_cancellation():
     # (q^3+q)/(q^2+1) reduces to q
     assert RatFunc((0, 1, 0, 1), (1, 0, 1)) == Q
