@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import forked
 from .errors import DegenerateContent, DivisionByZero, InvalidArgument, PoleAtPoint
@@ -51,21 +50,20 @@ from .tensor import GradedBasis, verify_phiP
 
 
 def parse_u_list(spec: str):
-    """Comma-separated exact values: integers, fractions, or q-power
-    expressions like ``2*q^2``."""
+    """Comma-separated exact values in the grammar of
+    ``RatFunc.from_string``, such as ``2``, ``3/2`` or ``2*q^2``."""
     if spec is None:
         raise InvalidArgument("--u is required here")
-    return tuple(as_ratfunc(part.strip()) for part in spec.split(","))
+    return tuple(as_ratfunc(part) for part in spec.split(","))
 
 
 def parse_q(spec: str):
-    """'symbolic' -> None, otherwise an exact rational."""
+    """'symbolic' -> None, otherwise a value without q, read as a rational."""
     if spec == "symbolic":
         return None
-    try:
-        return Fraction(spec)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidArgument(f"bad q value {spec!r}") from exc
+    if "q" in spec:
+        raise InvalidArgument(f"bad q value {spec!r}: it may not contain q")
+    return as_ratfunc(spec).specialize(0)  # a constant, so any point will do
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -135,16 +133,25 @@ def cmd_tableaux(args) -> tuple:
     return _emit([tableau_to_json(t) for t in tabs]), 0
 
 
+def _check_rep_options(args, kind, *used):
+    """Reject a rep option that the module kind does not read, and a
+    missing one that it does."""
+    for name in ("u", "k", "d", "u1"):
+        given = getattr(args, name) is not None
+        if given != (name in used):
+            fault = f"--{name} does not apply to {kind}" if given else f"{kind} requires --{name}"
+            raise InvalidArgument(fault)
+
+
 def cmd_rep(args) -> tuple:
     if args.multi is not None:
-        if args.u is None:
-            raise InvalidArgument("--multi requires --u")
+        _check_rep_options(args, "--multi", "u")
         rep = cyclotomic_module(parse_multipartition(args.multi), parse_u_list(args.u))
     elif args.skew is not None:
+        _check_rep_options(args, "--skew", "k")
         rep = calibrated_skew_module(parse_skew(args.skew), args.k)
     else:
-        if args.k is None or args.d is None or args.u1 is None:
-            raise InvalidArgument("shifted module requires --k, --d, --u1")
+        _check_rep_options(args, "the shifted module", "k", "d", "u1")
         rep = shifted_skew_module(args.k, args.d, as_ratfunc(args.u1))
     return _emit(rep.to_json()), 0
 
@@ -243,9 +250,12 @@ def cmd_dims(args) -> tuple:
 
 
 def cmd_schurweyl(args) -> tuple:
+    parts = [part.strip() for part in args.m.split(",")]
     try:
-        dims = tuple(int(x) for x in args.m.split(","))
-    except ValueError as exc:
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError("not ASCII digits")
+        dims = tuple(map(int, parts))
+    except ValueError as exc:  # also more digits than int() converts
         raise InvalidArgument(f"bad graded dimensions {args.m!r}") from exc
     basis = GradedBasis(dims)
     u = parse_u_list(args.u)

@@ -249,68 +249,20 @@ def _poly_gcd_shifted(a, b, v):
     return poly_shift(g, v), poly_shift(qa, va - v), poly_shift(qb, vb - v)
 
 
-_TERM_RE = re.compile(r"^([+-]?\d*)(?:\*?q(?:\^(-?\d+))?)?$")
-# a term: an optional sign, then anything up to the next sign that does
-# not follow "^" (the one of a negative exponent stays in its term)
-_TOKEN_RE = re.compile(r"[+-]?(?:\^-|[^+-])+")
+# an integer (ASCII digits) or any other single character that is not blank
+_TOKEN_RE = re.compile(r"(\d+)|(\S)", re.ASCII)
 
 
 def poly_to_string(a) -> str:
-    if not a:
-        return "0"
-    parts = []
+    """a in the grammar of ``RatFunc.from_string``, highest power first."""
+    out = ""
     for e in range(len(a) - 1, -1, -1):
         c = a[e]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if e == 0:
-            body = str(c)
-        else:
-            var = "q" if e == 1 else f"q^{e}"
-            body = var if c == 1 else f"{c}*{var}"
-        parts.append((sign, body))
-    sign, body = parts[0]
-    out = body if sign == "+" else "-" + body
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
-
-
-def poly_from_string(s: str):
-    s = s.replace(" ", "")
-    if not s:
-        raise InvalidArgument("empty polynomial string")
-    terms = _TOKEN_RE.findall(s)
-    if "".join(terms) != s:  # a sign with no term after it
-        raise InvalidArgument(f"stray sign in polynomial {s!r}")
-    coeffs: dict[int, int] = {}
-    for term in terms:
-        m = _TERM_RE.match(term)
-        if not m:
-            raise InvalidArgument(f"cannot parse term {term!r}")
-        cs, es = m.groups()
-        has_q = "q" in term
-        if cs in ("", "+"):
-            c = 1
-        elif cs == "-":
-            c = -1
-        else:
-            c = int(cs)
-        if not has_q:
-            e = 0
-        else:
-            e = 1 if es is None else int(es)
-        if e < 0:
-            raise InvalidArgument(f"negative exponent in {term!r}: write q^-e as 1/q^e")
-        coeffs[e] = coeffs.get(e, 0) + c
-    if not coeffs:
-        return P_ZERO
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return poly_trim(out)
+        if c:
+            var = "" if e == 0 else "*q" if e == 1 else f"*q^{e}"
+            body = var[1:] if var and abs(c) == 1 else f"{abs(c)}{var}"
+            out += ("-" if c < 0 else "+" if out else "") + body
+    return out or "0"
 
 
 # A memo table is emptied once it holds this many entries.
@@ -372,22 +324,58 @@ class RatFunc:
 
     @staticmethod
     def from_string(s: str) -> "RatFunc":
-        s = s.replace(" ", "")
-        if "/" in s:
-            m = re.fullmatch(r"\((.*)\)/\((.*)\)", s)
-            if m is None:
-                m = re.fullmatch(r"(.*)/\((.*)\)", s) or re.fullmatch(
-                    r"\((.*)\)/(.*)", s
-                )
-            if m is None:
-                num, den = s.split("/", 1)
-            else:
-                num, den = m.groups()
-            den = poly_from_string(den)
-            if not den:
-                raise InvalidArgument(f"zero denominator in {s!r}")
-            return RatFunc(poly_from_string(num), den)
-        return RatFunc(poly_from_string(s))
+        """The value of s in this grammar; whitespace may stand only between tokens:
+
+            value   := operand ['/' operand]
+            operand := '(' poly ')' | poly
+            poly    := ['+' | '-'] term {('+' | '-') term}
+            term    := int ['*'] 'q' ['^' int] | int | 'q' ['^' int]
+            int     := ASCII digits
+        """
+        try:
+            toks = [int(d) if d else c for d, c in _TOKEN_RE.findall(s)][::-1]
+        except ValueError:  # more digits than int() converts
+            raise InvalidArgument(f"integer too long in {s!r}") from None
+
+        def take(tok):
+            """Pop the next token if it is tok (any integer for int)."""
+            if toks and (toks[-1] == tok or tok is int and type(toks[-1]) is int):
+                return toks.pop()
+            return None
+
+        def fail(message=None):
+            where = repr(toks[-1]) if toks else "end"
+            raise InvalidArgument(message or f"cannot parse {s!r}: unexpected {where}")
+
+        def term(sign):
+            c, e = take(int), 0
+            if c is None or take("*") or toks[-1:] == ["q"]:
+                if not take("q"):
+                    fail(f"stray sign in polynomial {s!r}" if c is None and sign else None)
+                e = take(int) if take("^") else 1
+                if e is None and toks[-1:] == ["-"]:
+                    fail(f"negative exponent in {s!r}: write q^-e as 1/q^e")
+                if e is None:
+                    fail()
+            c = 1 if c is None else c
+            return (0,) * e + (-c if sign == "-" else c,)
+
+        def operand():
+            paren = take("(")
+            out = poly_trim(term(take("+") or take("-")))
+            while sign := take("+") or take("-"):
+                out = poly_add(out, term(sign))
+            if paren and not take(")"):
+                fail()
+            return out
+
+        num = operand()
+        den = operand() if take("/") else P_ONE
+        if toks:
+            fail()
+        if not den:
+            raise InvalidArgument(f"zero denominator in {s!r}")
+        return RatFunc(num, den)
 
     # -- predicates ----------------------------------------------------
 

@@ -1,10 +1,12 @@
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,8 +37,10 @@ def test_parse_u_list():
 def test_parse_q():
     assert parse_q("symbolic") is None
     assert parse_q("1") == 1
-    with pytest.raises(InvalidArgument):
-        parse_q("pi")
+    assert parse_q(" -3 / 7 ") == Fraction(-3, 7)
+    for spec in ["pi", "q", "q/q", "0.5", "1e3", "1_0", "1/0"]:
+        with pytest.raises(InvalidArgument):
+            parse_q(spec)
 
 
 def test_tableaux_multi(capsys):
@@ -237,6 +241,38 @@ def test_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--multi", "[[1],[1]]", "--u", "0,1", "--k", "7"], "--k does not apply to --multi"),
+        (["--multi", "[[1],[1]]", "--u", "0,1", "--u1", "5", "--d", "3"], "--d does not apply to --multi"),
+        (["--skew", "[2,1]/[1]", "--k", "2", "--u", "1,3"], "--u does not apply to --skew"),
+        (["--skew", "[2,1]/[1]", "--k", "2", "--d", "1"], "--d does not apply to --skew"),
+        (["--k", "3", "--d", "1", "--u1", "1", "--u", "4,5"], "--u does not apply to the shifted module"),
+        (["--skew", "[2,1]/[1]"], "--skew requires --k"),
+        (["--k", "3", "--u1", "1"], "the shifted module requires --d"),
+    ],
+)
+def test_rep_rejects_options_its_module_does_not_read(capsys, argv, message):
+    # an option the module kind does not read must not be ignored
+    code = main(["rep", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def _readme_commands():
+    """The `qrook ...` lines of the sh block under "## Command line" in
+    README.md, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("qrook ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(capsys, argv):
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--family", "rook", "--k", "3", "--q", "0"],  # DivisionByZero
@@ -267,25 +303,34 @@ def test_bad_input_exits_2_with_one_line_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+# each with the start of its error: a stray sign must not be dropped,
+# which would check the values left and exit 0, "q^-1" must not be split
+# into "q^" and "-1", and a value must not be read by a looser grammar
+# (blanks joining digits, int() and Fraction() reading "1_0" as 10 and a
+# digit outside ASCII as a digit)
 MALFORMED_VALUES = [
-    ["verify", "--family", "aAlg", "--k", "3", "--u", "1,3+"],
-    ["verify", "--family", "aAlg", "--k", "3", "--u", "1--2,3"],
-    ["verify", "--family", "cyclo", "--k", "2", "--u", "+,1"],
-    ["semisimple", "--family", "cyclo", "--k", "2", "--u", "1,q+-"],
-    ["schurweyl", "--m", "1,1", "--k", "2", "--u", "0,1++q"],
-    ["verify", "--family", "aAlg", "--k", "3", "--u", "0,q^-1"],
-    ["rep", "--k", "3", "--d", "1", "--u1", "q^-2"],
+    (["verify", "--family", "aAlg", "--k", "3", "--u", "1,3+"], "stray sign in polynomial "),
+    (["verify", "--family", "aAlg", "--k", "3", "--u", "1--2,3"], "stray sign in polynomial "),
+    (["verify", "--family", "cyclo", "--k", "2", "--u", "+,1"], "stray sign in polynomial "),
+    (["semisimple", "--family", "cyclo", "--k", "2", "--u", "1,q+-"], "stray sign in polynomial "),
+    (["schurweyl", "--m", "1,1", "--k", "2", "--u", "0,1++q"], "stray sign in polynomial "),
+    (["verify", "--family", "aAlg", "--k", "3", "--u", "0,q^-1"], "negative exponent in "),
+    (["rep", "--k", "3", "--d", "1", "--u1", "q^-2"], "negative exponent in "),
+    (["verify", "--family", "aAlg", "--k", "3", "--u", "1 2,3"], "cannot parse '1 2'"),
+    (["verify", "--family", "rook", "--k", "2", "--q", "1_0"], "cannot parse '1_0'"),
+    (["schurweyl", "--m", "1_1", "--k", "1", "--u", "0"], "bad graded dimensions "),
+    (["schurweyl", "--m", "\u0661", "--k", "1", "--u", "0"], "bad graded dimensions "),
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED_VALUES, ids=[" ".join(a) for a in MALFORMED_VALUES])
-def test_malformed_value_exits_2_and_names_the_fault(capsys, argv):
-    # a stray sign must not be dropped, which would check the values left
-    # and exit 0, and "q^-1" must not be split into "q^" and "-1"
+@pytest.mark.parametrize(
+    "argv,message", MALFORMED_VALUES, ids=[" ".join(argv) for argv, _ in MALFORMED_VALUES]
+)
+def test_malformed_value_exits_2_and_names_the_fault(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith(("error: stray sign in polynomial ", "error: negative exponent in "))
+    assert captured.err.startswith("error: " + message)
     assert captured.err.count("\n") == 1
 
 

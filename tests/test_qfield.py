@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -111,8 +112,9 @@ def test_coercions():
         as_ratfunc(1.5)
 
 
-# a sign that no term follows raises rather than being dropped, and the
-# "-" of a negative exponent stays in its term, which then raises
+# a sign that no term follows raises rather than being dropped, a "-"
+# after "^" raises as a negative exponent, and so do whitespace inside a
+# token, a term that starts with "*" and a digit outside ASCII
 MALFORMED_POLYNOMIALS = [
     ("1+", "stray sign"),
     ("1--2", "stray sign"),
@@ -121,9 +123,15 @@ MALFORMED_POLYNOMIALS = [
     ("q+-", "stray sign"),
     ("1++q", "stray sign"),
     ("q^-1", "negative exponent in 'q^-1'"),
-    ("2-3q^-2", "negative exponent in '-3q^-2'"),
-    ("q^-", "cannot parse term 'q^-'"),
+    ("2-3q^-2", "negative exponent in '2-3q^-2'"),
+    ("q^-", "negative exponent in 'q^-'"),
     ("(1)/(q+)", "stray sign"),
+    ("q^-0", "negative exponent in 'q^-0'"),
+    ("1 2", "cannot parse '1 2': unexpected 2"),
+    ("q^1 0", "cannot parse 'q^1 0': unexpected 0"),
+    ("*q", "cannot parse '*q': unexpected '*'"),
+    ("-*q", "stray sign"),
+    ("\u0661", "cannot parse"),
 ]
 
 
@@ -138,6 +146,83 @@ def test_signs_between_terms_still_parse():
     assert as_ratfunc("-q+1") == RatFunc((1, -1))
     assert as_ratfunc("+2*q^2-3q-1") == RatFunc((-1, -3, 2))
     assert as_ratfunc("(q^2-1)/(-q)") == RatFunc((1, 0, -1), (0, 1))
+
+
+# An independent reader of the grammar of RatFunc.from_string.  Every
+# token but an integer is one character, so the only whitespace the
+# grammar rejects stands between two digits; with that ruled out and the
+# blanks removed, a value is one character-level regular expression.
+_INT = "[0-9]+"
+_TERM = f"(?:{_INT}\\*?q(?:\\^{_INT})?|{_INT}|q(?:\\^{_INT})?)"
+_POLY = f"[+-]?{_TERM}(?:[+-]{_TERM})*"
+_OPERAND = f"(?:\\({_POLY}\\)|{_POLY})"
+_VALUE = f"{_OPERAND}(?:/{_OPERAND})?"
+
+
+def _reference_poly(text):
+    """Dense coefficients of a polynomial that matched _POLY, term by term."""
+    coeffs = {}
+    for term in re.findall("[+-]?[^+-]+", text):
+        c, _, rest = term.lstrip("+-").partition("q")
+        e = int(rest[1:] or 1) if "q" in term else 0  # rest is "" or "^e"
+        sign = -1 if term[0] == "-" else 1
+        coeffs[e] = coeffs.get(e, 0) + sign * int(c.rstrip("*") or 1)
+    return tuple(coeffs.get(e, 0) for e in range(max(coeffs) + 1))
+
+
+def _reference_value(s):
+    """(numerator, denominator) of s, or None where the grammar rejects s."""
+    text = s.replace(" ", "")
+    if re.search("[0-9] +[0-9]", s) or not re.fullmatch(_VALUE, text):
+        return None
+    num, _, den = text.replace("(", "").replace(")", "").partition("/")
+    den = _reference_poly(den) if den else (1,)
+    return (_reference_poly(num), den) if any(den) else None
+
+
+# well-formed values, built from the grammar's productions
+_TERM_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "7", "12"]),
+    st.builds(
+        "{}q{}".format,
+        st.sampled_from(["", "0", "2", "30", "2*", "30*"]),
+        st.sampled_from(["", "^0", "^1", "^5", "^12"]),
+    ),
+)
+_POLY_TEXT = st.builds(
+    lambda lead, first, rest: lead + first + "".join(sign + term for sign, term in rest),
+    st.sampled_from(["", "+", "-"]),
+    _TERM_TEXT,
+    st.lists(st.tuples(st.sampled_from("+-"), _TERM_TEXT), max_size=2),
+)
+_OPERAND_TEXT = st.one_of(_POLY_TEXT, _POLY_TEXT.map("({})".format))
+_WELL_FORMED = st.one_of(_OPERAND_TEXT, st.builds("{}/{}".format, _OPERAND_TEXT, _OPERAND_TEXT))
+_VALUE_TEXT = st.one_of(
+    st.text(alphabet="0123456789q^*+-/() ", max_size=12).map(
+        lambda s: re.sub("[0-9]{3,}", lambda m: m.group()[:2], s)  # exponents < 100
+    ),
+    _WELL_FORMED,
+    # a well-formed value with one blank put in, which may split a token
+    st.builds(lambda v, i: f"{v[:i]} {v[i:]}", _WELL_FORMED, st.integers(0, 20)),
+)
+
+
+@settings(max_examples=500)
+@given(_VALUE_TEXT)
+@example("(1+q)")
+@example("5 7/(q)")
+@example("-*q")
+@example("q^-0")
+@example("1/(q-q)")
+@example(" ( -3 * q ^ 2 + 1 ) / 2 ")
+def test_parser_matches_reference_grammar(s):
+    want = _reference_value(s)
+    try:
+        got = as_ratfunc(s)
+    except InvalidArgument:
+        assert want is None
+    else:
+        assert want is not None and got == RatFunc(*want)
 
 
 def test_gcd_cancellation():
