@@ -250,12 +250,9 @@ def cmd_dims(args) -> tuple:
 
 
 def cmd_schurweyl(args) -> tuple:
-    parts = [part.strip() for part in args.m.split(",")]
     try:
-        if not all(part.isascii() and part.isdigit() for part in parts):
-            raise ValueError("not ASCII digits")
-        dims = tuple(map(int, parts))
-    except ValueError as exc:  # also more digits than int() converts
+        dims = tuple(map(_ascii_int, args.m.split(",")))
+    except ValueError as exc:
         raise InvalidArgument(f"bad graded dimensions {args.m!r}") from exc
     basis = GradedBasis(dims)
     u = parse_u_list(args.u)
@@ -297,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--multi")
     g.add_argument("--skew")
     p.add_argument("--u", help="comma-separated exact parameters")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--k")
+    p.add_argument("--d")
     p.add_argument("--u1")
     p.set_defaults(func=cmd_rep)
 
@@ -308,24 +305,24 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["rook", "Ak", "cyclo", "aAlg", "Bprime"],
     )
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.add_argument("--u")
     p.add_argument("--q", default="symbolic")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bratteli", help="export a branching graph")
     p.add_argument("--family", required=True, choices=["B", "A"])
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", required=True)
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.set_defaults(func=cmd_bratteli)
 
     p = sub.add_parser("dims", help="dimension tables")
-    p.add_argument("--rook", type=int, required=True)
+    p.add_argument("--rook", required=True)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("schurweyl", help="tensor-space action report")
     p.add_argument("--m", required=True, help="graded dimensions, e.g. 1,2")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.add_argument("--u", required=True)
     p.set_defaults(func=cmd_schurweyl)
 
@@ -333,13 +330,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family", required=True, choices=["rook", "cyclo", "aAlg"]
     )
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.add_argument("--u")
     p.add_argument("--q", default="symbolic")
     p.set_defaults(func=cmd_semisimple)
 
     return top
 
+
+def _ascii_int(text: str) -> int:
+    """text as an integer: an optional "-" and ASCII digits, with blanks
+    allowed around them, or ValueError.  int() alone also reads "1_0" as
+    10 and digits outside ASCII."""
+    text = text.strip()
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)  # ValueError past int()'s digit limit too
+
+
+# options read by _ascii_int, which argparse would read with int()
+INT_OPTIONS = ("k", "d", "levels", "rook")
 
 # options whose value may start with "-": a negative number, a fraction
 # or a list such as -1,3
@@ -370,10 +381,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_join_signed_values(argv))
     try:
+        values = vars(args)
         # argparse before Python 3.13 reads "--opt=--" as an empty list
-        for name, value in vars(args).items():
+        for name, value in values.items():
             if isinstance(value, list):
                 raise InvalidArgument(f"argument --{name} needs one value")
+        for name in INT_OPTIONS:
+            if values.get(name) is not None:
+                try:
+                    values[name] = _ascii_int(values[name])
+                except ValueError as exc:
+                    raise InvalidArgument(f"bad integer {values[name]!r} for --{name}") from exc
         output, code = args.func(args)
     except (InvalidArgument, DivisionByZero, PoleAtPoint, DegenerateContent) as exc:
         print(f"error: {exc}", file=sys.stderr)

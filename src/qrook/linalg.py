@@ -34,7 +34,7 @@ a -> a v is injective on the algebra, as on the identity element that
 from __future__ import annotations
 
 from .errors import NotInvertible
-from .qfield import RF_ONE, RF_ZERO, RatFunc, as_ratfunc
+from .qfield import _PRODUCTS, _SUMS, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 
 
 class Mat:
@@ -44,7 +44,12 @@ class Mat:
     keeps it, and only this module builds a Mat from a rows dict or writes
     into ``rows`` (tests/test_hygiene.py checks that statically).  ``==``
     relies on it: two matrices are equal iff their rows dicts are, which
-    is how ``presentations.verify`` decides that a relation holds."""
+    is how ``presentations.verify`` decides that a relation holds.
+
+    ``+``, ``@`` and ``scale`` look each entry sum and product up in
+    qfield's memo tables themselves and call the RatFunc operator only on
+    a miss, which stores it; a RatFunc is always true, so ``or`` falls
+    through exactly on a miss."""
 
     __slots__ = ("n", "rows")
 
@@ -133,7 +138,8 @@ class Mat:
         for i, row in other.rows.items():
             orow = out.rows.setdefault(i, {})
             for j, v in row.items():
-                s = orow.get(j, RF_ZERO) + v
+                cur = orow.get(j, RF_ZERO)
+                s = _SUMS.get((cur.sid, v.sid)) or cur + v
                 if s.is_zero():
                     orow.pop(j, None)
                 else:
@@ -152,14 +158,19 @@ class Mat:
         c = as_ratfunc(c)
         if c.is_zero():
             return Mat(self.n)
+        products, sid = _PRODUCTS, c.sid
         return Mat(
             self.n,
-            {i: {j: c * v for j, v in r.items()} for i, r in self.rows.items()},
+            {
+                i: {j: products.get((sid, v.sid)) or c * v for j, v in r.items()}
+                for i, r in self.rows.items()
+            },
         )
 
     def __matmul__(self, other: "Mat") -> "Mat":
         out_rows: dict = {}
         orows = other.rows
+        products, sums = _PRODUCTS, _SUMS
         for i, arow in self.rows.items():
             acc: dict = {}
             summed = False  # a product of nonzero entries is never zero
@@ -167,13 +178,14 @@ class Mat:
                 brow = orows.get(k)
                 if not brow:
                     continue
+                sid = av.sid
                 for j, bv in brow.items():
-                    prod = av * bv
+                    prod = products.get((sid, bv.sid)) or av * bv
                     cur = acc.get(j)
                     if cur is None:
                         acc[j] = prod
                     else:
-                        acc[j] = cur + prod
+                        acc[j] = sums.get((cur.sid, prod.sid)) or cur + prod
                         summed = True
             if summed:
                 acc = {j: v for j, v in acc.items() if not v.is_zero()}

@@ -20,22 +20,37 @@ result of specialisation at a rational q (``poly_eval`` itself runs on
 integers) and in conversion from rationals (``RatFunc.from_fraction``,
 ``as_ratfunc``).
 
+Every RatFunc is hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): construction canonicalises (num, den) and returns
+the one object that ``_INTERN`` holds for that pair, making a new object
+only for a value not seen before.  Each object carries a serial number
+``sid`` from one counter, so serials are never reused (unlike ``id()``).
+``==`` tests identity first and then compares values; ``hash`` is the
+value's hash, so an integer constant hashes like the int it equals.
+
 Sums and products of two RatFuncs are memoised: ``+`` looks its operands
-up in ``_SUMS`` and ``*`` in ``_PRODUCTS``, keyed on
-``(a.num, a.den, b.num, b.den)``.  Seminormal matrices are built from a
-few box contents, so a relation suite repeats the same few field
-operations tens of thousands of times.  A hit is exact: every RatFunc is
-canonical and immutable (it has ``__slots__`` and only ``__init__``
-assigns ``num`` and ``den``), so equal keys mean equal operands and the
-stored result is the value the operation would compute again.  A table
-is emptied once it holds ``MEMO_LIMIT`` entries, which bounds its
-memory.  Operands that are not RatFuncs (ints, Fractions, strings)
-bypass the tables.
+up in ``_SUMS`` and ``*`` in ``_PRODUCTS``, keyed on the serial pair
+``(a.sid, b.sid)``.  Seminormal matrices are built from a few box
+contents, so a relation suite repeats the same few field operations tens
+of thousands of times.  A hit is exact: every RatFunc is canonical and
+immutable (it has ``__slots__`` and only ``__new__`` assigns ``num``,
+``den`` and ``sid``), and a serial names one object, so equal keys mean
+the same operands and the stored result is the value the operation would
+compute again.  ``linalg.Mat`` probes the two tables itself before it
+calls an operator, so they are only ever cleared in place, never rebound.
+Each table, ``_INTERN`` included, is emptied once it holds
+``MEMO_LIMIT`` entries, which bounds its memory.  Emptying a memo table
+empties ``_INTERN`` too, which would otherwise keep alive every result
+the memo table let go of.  After ``_INTERN`` is emptied one value can
+have two objects: that costs memo misses, never a wrong answer, because
+the two have distinct serials and equal values.  Operands that are not
+RatFuncs (ints, Fractions, strings) bypass the tables.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 from math import gcd
@@ -265,10 +280,16 @@ def poly_to_string(a) -> str:
     return out or "0"
 
 
-# A memo table is emptied once it holds this many entries.
+# A memo table or the intern table is emptied once it holds this many entries.
 MEMO_LIMIT = 1 << 16
 _SUMS: dict = {}
 _PRODUCTS: dict = {}
+_INTERN: dict = {}  # (num, den) -> the RatFunc of that canonical form
+_SERIALS = itertools.count()
+
+# the largest e that q^e may have in RatFunc.from_string: the value is a
+# dense tuple of e + 1 coefficients, built before anything else checks it
+MAX_EXPONENT = 10_000
 
 
 def _memoised(table):
@@ -280,11 +301,12 @@ def _memoised(table):
         def wrapped(self, other):
             if not isinstance(other, RatFunc):
                 return op(self, other)
-            key = (self.num, self.den, other.num, other.den)
+            key = (self.sid, other.sid)
             out = table.get(key)
             if out is None:
                 if len(table) >= MEMO_LIMIT:
                     table.clear()
+                    _INTERN.clear()
                 out = table[key] = op(self, other)
             return out
 
@@ -296,13 +318,25 @@ def _memoised(table):
 class RatFunc:
     """A canonical element of the field Q(q)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "sid")
 
-    def __init__(self, num, den=P_ONE, _canonical=False):
+    def __new__(cls, num, den=P_ONE, _canonical=False):
         if not _canonical:
             num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
+        key = (num, den)
+        self = _INTERN.get(key)
+        if self is None:
+            if len(_INTERN) >= MEMO_LIMIT:
+                _INTERN.clear()
+            self = _INTERN[key] = object.__new__(cls)
+            self.num = num
+            self.den = den
+            self.sid = next(_SERIALS)
+        return self
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which re-interns
+        return RatFunc, (self.num, self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -331,6 +365,9 @@ class RatFunc:
             poly    := ['+' | '-'] term {('+' | '-') term}
             term    := int ['*'] 'q' ['^' int] | int | 'q' ['^' int]
             int     := ASCII digits
+
+        An exponent above MAX_EXPONENT (10,000) is rejected before any
+        coefficient tuple is built.
         """
         try:
             toks = [int(d) if d else c for d, c in _TOKEN_RE.findall(s)][::-1]
@@ -357,6 +394,8 @@ class RatFunc:
                     fail(f"negative exponent in {s!r}: write q^-e as 1/q^e")
                 if e is None:
                     fail()
+                if e > MAX_EXPONENT:
+                    fail(f"exponent too large in {s!r}: q^e needs e <= {MAX_EXPONENT}")
             c = 1 if c is None else c
             return (0,) * e + (-c if sign == "-" else c,)
 
@@ -460,6 +499,8 @@ class RatFunc:
         return poly_eval(self.num, q0) / d
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, int):
             other = RatFunc.from_int(other)
         if not isinstance(other, RatFunc):

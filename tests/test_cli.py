@@ -305,9 +305,10 @@ def test_bad_input_exits_2_with_one_line_error(capsys, argv):
 
 # each with the start of its error: a stray sign must not be dropped,
 # which would check the values left and exit 0, "q^-1" must not be split
-# into "q^" and "-1", and a value must not be read by a looser grammar
-# (blanks joining digits, int() and Fraction() reading "1_0" as 10 and a
-# digit outside ASCII as a digit)
+# into "q^" and "-1", a value or an integer option must not be read by a
+# looser grammar (blanks joining digits, int() and Fraction() reading
+# "1_0" as 10 and a digit outside ASCII as a digit), and q^e with a huge e
+# must exit 2 before its coefficient tuple is built
 MALFORMED_VALUES = [
     (["verify", "--family", "aAlg", "--k", "3", "--u", "1,3+"], "stray sign in polynomial "),
     (["verify", "--family", "aAlg", "--k", "3", "--u", "1--2,3"], "stray sign in polynomial "),
@@ -320,6 +321,14 @@ MALFORMED_VALUES = [
     (["verify", "--family", "rook", "--k", "2", "--q", "1_0"], "cannot parse '1_0'"),
     (["schurweyl", "--m", "1_1", "--k", "1", "--u", "0"], "bad graded dimensions "),
     (["schurweyl", "--m", "\u0661", "--k", "1", "--u", "0"], "bad graded dimensions "),
+    (["dims", "--rook", "1_1"], "bad integer '1_1' for --rook"),
+    (["verify", "--family", "rook", "--k", "\u0663"], "bad integer '\u0663' for --k"),
+    (["bratteli", "--family", "A", "--levels", "2.0"], "bad integer '2.0' for --levels"),
+    (["rep", "--k", "3", "--d", "1_0", "--u1", "1"], "bad integer '1_0' for --d"),
+    (
+        ["verify", "--family", "aAlg", "--k", "2", "--u", "q^99999999999999,1"],
+        "exponent too large in 'q^99999999999999'",
+    ),
 ]
 
 

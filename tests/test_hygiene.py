@@ -1,5 +1,5 @@
 """Source hygiene: no qrook module imports a name it never uses, nothing
-can change a RatFunc after ``RatFunc.__init__``, only ``linalg`` builds a
+can change a RatFunc after ``RatFunc.__new__`` builds it, only ``linalg`` builds a
 Mat from a rows dict or writes into one, no invariant rests on an
 ``assert`` statement or a raised ``AssertionError``, and every exception
 class in ``errors.py`` is raised somewhere."""
@@ -11,7 +11,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qrook"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-RATFUNC_FIELDS = {"num", "den"}
+RATFUNC_FIELDS = {"num", "den", "sid"}
 ATTRIBUTE_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 DICT_MUTATORS = {"setdefault", "pop", "popitem", "update", "clear", "__setitem__", "__delitem__"}
 
@@ -44,12 +44,13 @@ def test_no_unused_imports(path):
 
 def field_writes(source: str) -> list:
     """Places that could change a RatFunc after it is built: an assignment
-    to, or deletion of, an attribute named ``num`` or ``den`` anywhere but
-    ``RatFunc.__init__``, and every call of ``setattr``, ``delattr``,
-    ``object.__setattr__`` or ``object.__delattr__``.  qrook needs none of
-    those calls, and a static check cannot tell whether one targets a
-    RatFunc.  The memo tables in ``qfield`` are exact only while this list
-    is empty."""
+    to, or deletion of, an attribute named ``num``, ``den`` or ``sid``
+    anywhere but ``RatFunc.__new__``, the one constructor, and every call
+    of ``setattr``, ``delattr``, ``object.__setattr__`` or
+    ``object.__delattr__``.  qrook needs none of those calls, and a static
+    check cannot tell whether one targets a RatFunc.  Interned RatFuncs are
+    shared by every holder, and the memo tables in ``qfield`` are exact
+    only while this list is empty."""
     found = []
 
     def visit(node, scope):
@@ -62,7 +63,7 @@ def field_writes(source: str) -> list:
                 isinstance(child, ast.Attribute)
                 and child.attr in RATFUNC_FIELDS
                 and not isinstance(child.ctx, ast.Load)
-                and scope != ("RatFunc", "__init__")
+                and scope != ("RatFunc", "__new__")
             ):
                 found.append(f"{where}: .{child.attr}")
             elif isinstance(child, ast.Call):
@@ -79,29 +80,36 @@ def field_writes(source: str) -> list:
 def test_detector_sees_field_writes():
     source = (
         "class RatFunc:\n"
-        "    def __init__(self, num, den):\n"
+        "    def __new__(cls, num, den):\n"
+        "        self = object.__new__(cls)\n"
         "        self.num = num\n"
         "        self.den = den\n"
+        "        self.sid = 0\n"
+        "    def __init__(self, num, den):\n"
+        "        self.num = num\n"
         "def f(r, rs):\n"
         "    r.num = ()\n"
         "    r.den += (1,)\n"
         "    for r.num in rs: pass\n"
         "    del r.den\n"
         "    object.__setattr__(r, 'num', ())\n"
-        "    return r.num, r.den\n"
+        "    r.sid = 1\n"
+        "    return r.num, r.den, r.sid\n"
         "setattr(R, 'den', ())\n"
     )
     assert field_writes(source) == [
-        "f (line 6): .num",
-        "f (line 7): .den",
-        "f (line 8): .num",
-        "f (line 9): .den",
-        "f (line 10): __setattr__()",
-        "<module> (line 12): setattr()",
+        "RatFunc.__init__ (line 8): .num",
+        "f (line 10): .num",
+        "f (line 11): .den",
+        "f (line 12): .num",
+        "f (line 13): .den",
+        "f (line 14): __setattr__()",
+        "f (line 15): .sid",
+        "<module> (line 17): setattr()",
     ]
 
 
-def test_ratfunc_fields_are_assigned_only_in_init():
+def test_ratfunc_fields_are_assigned_only_in_the_constructor():
     found = [f"{p.name}: {w}" for p in sorted(SRC.glob("*.py")) for w in field_writes(p.read_text())]
     assert found == []
 

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import re
 from fractions import Fraction
 from math import gcd
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qrook import qfield
 from qrook.errors import DivisionByZero, InvalidArgument, PoleAtPoint
+from qrook.linalg import Mat
 from qrook.qfield import (
     Q,
     QINV,
@@ -132,6 +135,8 @@ MALFORMED_POLYNOMIALS = [
     ("*q", "cannot parse '*q': unexpected '*'"),
     ("-*q", "stray sign"),
     ("\u0661", "cannot parse"),
+    ("q^99999999999999", "exponent too large in 'q^99999999999999'"),
+    ("1+2*q^10001", "exponent too large in '1+2*q^10001'"),
 ]
 
 
@@ -140,6 +145,10 @@ def test_malformed_polynomial_strings_raise(s, message):
     with pytest.raises(InvalidArgument) as exc:
         as_ratfunc(s)
     assert message in str(exc.value)
+
+
+def test_exponent_bound_is_inclusive():
+    assert as_ratfunc(f"q^{qfield.MAX_EXPONENT}") == RatFunc.q_power(qfield.MAX_EXPONENT)
 
 
 def test_signs_between_terms_still_parse():
@@ -606,6 +615,7 @@ def test_tables_stay_within_their_bound(monkeypatch):
         assert x * c == RatFunc.__mul__.__wrapped__(x, c)
         assert x + c == RatFunc.__add__.__wrapped__(x, c)
         assert 0 < len(qfield._PRODUCTS) <= 8 and 0 < len(qfield._SUMS) <= 8
+        assert 0 < len(qfield._INTERN) <= 8
 
 
 def test_non_ratfunc_operands_bypass_the_tables():
@@ -615,3 +625,47 @@ def test_non_ratfunc_operands_bypass_the_tables():
     assert 3 + rf == RatFunc((1, 7, 3), (0, 2, 1))
     assert rf + Fraction(1, 2) == RatFunc((2, 4, 1), (0, 4, 2))
     assert not qfield._SUMS and not qfield._PRODUCTS
+
+
+# -- hash-consing: one object per canonical value ----------------------------
+
+
+@given(_ratfuncs())
+def test_construction_returns_the_interned_object(x):
+    assert RatFunc(x.num, x.den) is x
+    assert RatFunc(x.num, x.den, _canonical=True) is x
+    # an uncancelled form canonicalises to the same object
+    assert RatFunc(poly_mul(x.num, (1, 1)), poly_mul(x.den, (1, 1))) is x
+
+
+@pytest.mark.parametrize("spec", ["0", "1", "q", "1/q", "(1+2*q)/(3+q^2)", "-7/2"])
+def test_pickle_and_copy_return_the_interned_object(spec):
+    x = as_ratfunc(spec)
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.copy(x) is x
+    assert copy.deepcopy(x) is x
+
+
+def test_a_pickled_matrix_equals_the_original():
+    m = Mat.from_dense([[Q, 0], [RatFunc((1, 2), (3, 0, 1)), -1]])
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m
+    assert back.rows[1][0] is m.rows[1][0]
+
+
+def test_a_value_rebuilt_after_the_intern_table_is_emptied_acts_the_same():
+    """After a clear, one value can have two objects with distinct
+    serials: they compare equal, hash alike, and every sum and product
+    among them, memoised under either serial, is the unmemoised value."""
+    a = RatFunc((1, 2), (3, 0, 1))
+    b = RatFunc((0, 1), (1, 1))
+    stored = (a + b, a * b)  # memoised under a's old serial
+    qfield._INTERN.clear()
+    a2 = RatFunc(a.num, a.den)
+    assert a2 is not a and a2.sid != a.sid
+    assert a2 == a and a == a2 and hash(a2) == hash(a)
+    assert Mat.from_dense([[a2]]) == Mat.from_dense([[a]])
+    assert (a2 + b, a2 * b) == stored
+    for x, y in ((a, b), (a2, b), (b, a2), (a, a2), (a2, a2)):
+        assert x + y == RatFunc.__add__.__wrapped__(x, y)
+        assert x * y == RatFunc.__mul__.__wrapped__(x, y)
