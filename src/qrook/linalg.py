@@ -33,6 +33,8 @@ a -> a v is injective on the algebra, as on the identity element that
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NotInvertible
 from .qfield import _PRODUCTS, _SUMS, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 
@@ -122,10 +124,11 @@ class Mat:
 
     def specialize(self, q0) -> "Mat":
         """The matrix with every entry evaluated at q = q0 (exact)."""
+        q0 = Fraction(q0)
         out = Mat(self.n)
         for i, r in self.rows.items():
             for j, v in r.items():
-                out.set(i, j, RatFunc.from_fraction(v.specialize(q0)))
+                out.set(i, j, v.at(q0))
         return out
 
     def __eq__(self, other):
@@ -225,13 +228,18 @@ class Mat:
 
     def to_json(self):
         """Every entry as an exact string, row by row.  Only stored entries
-        are rendered, so the cost follows the nonzeros, not n^2."""
+        are rendered, each distinct value once, so the cost follows the
+        nonzeros, not n^2."""
         zeros = ["0"] * self.n
+        text: dict = {}  # sid -> str of that entry value
         out = []
         for i in range(self.n):
             row = zeros.copy()
             for j, v in self.rows.get(i, {}).items():
-                row[j] = str(v)
+                s = text.get(v.sid)
+                if s is None:
+                    s = text[v.sid] = str(v)
+                row[j] = s
             out.append(row)
         return out
 

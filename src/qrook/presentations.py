@@ -362,9 +362,7 @@ class Report:
 
 def lincomb_specialize(comb: LinComb, q0) -> LinComb:
     q0 = Fraction(q0)
-    return {
-        w: RatFunc.from_fraction(specialize(c, q0)) for w, c in comb.items()
-    }
+    return {w: c.at(q0) for w, c in comb.items()}
 
 
 def _with_inverses(assignment: dict, relations, q0=None) -> dict:

@@ -45,6 +45,14 @@ the memo table let go of.  After ``_INTERN`` is emptied one value can
 have two objects: that costs memo misses, never a wrong answer, because
 the two have distinct serials and equal values.  Operands that are not
 RatFuncs (ints, Fractions, strings) bypass the tables.
+
+Specialisation is memoised the same way: ``x.at(q0)`` returns the constant
+RatFunc x(q0) from ``_AT``, keyed on ``(x.sid, numerator, denominator)``
+of q0, so a hit hashes three ints and no Fraction.  ``Mat.specialize`` and
+``presentations.lincomb_specialize`` both go through it, so each distinct
+value is specialised once per process.  ``_AT`` is bounded by
+``MEMO_LIMIT`` and emptied with ``_INTERN`` by the same rule; a pole is
+raised before anything is stored.
 """
 
 from __future__ import annotations
@@ -285,6 +293,7 @@ MEMO_LIMIT = 1 << 16
 _SUMS: dict = {}
 _PRODUCTS: dict = {}
 _INTERN: dict = {}  # (num, den) -> the RatFunc of that canonical form
+_AT: dict = {}  # (sid, numerator, denominator of q0) -> the constant self(q0)
 _SERIALS = itertools.count()
 
 # the largest e that q^e may have in RatFunc.from_string: the value is a
@@ -497,6 +506,19 @@ class RatFunc:
         if d == 0:
             raise PoleAtPoint(f"denominator vanishes at q={q0}")
         return poly_eval(self.num, q0) / d
+
+    def at(self, q0) -> "RatFunc":
+        """self(q0) as a constant RatFunc, for an int or Fraction q0,
+        memoised in ``_AT``; a pole raises PoleAtPoint and stores nothing."""
+        key = (self.sid, q0.numerator, q0.denominator)
+        out = _AT.get(key)
+        if out is None:
+            value = self.specialize(q0)
+            if len(_AT) >= MEMO_LIMIT:
+                _AT.clear()
+                _INTERN.clear()
+            out = _AT[key] = RatFunc.from_fraction(value)
+        return out
 
     def __eq__(self, other):
         if self is other:

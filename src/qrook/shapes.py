@@ -250,6 +250,7 @@ def count_standard_tableaux(shape) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def _aitken(outer: tuple, inner: tuple) -> int:
     """n! * det[1 / (outer_i - inner_j - i + j)!] in integers.
 

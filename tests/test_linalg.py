@@ -114,6 +114,14 @@ def test_operations_store_no_zero(case, data):
     assert ((a - b).is_zero()) == (a == b)
 
 
+@given(_operands())
+def test_to_json_renders_every_dense_entry(case):
+    # a @ b repeats entry values, which to_json renders once each
+    n, a_dense, b_dense = case
+    for m in (Mat.from_dense(a_dense), Mat.from_dense(a_dense) @ Mat.from_dense(b_dense)):
+        assert m.to_json() == [[str(v) for v in row] for row in m.to_dense()]
+
+
 def _cyclotomic(u):
     return [cyclotomic_module(shape, u).matrices for shape in index_set_A(3)]
 

@@ -17,7 +17,6 @@ from qrook.presentations import (
     indecomposable_witness,
     lc,
     lc_sub,
-    lincomb_specialize,
     map_P_to_X,
     map_X_to_P,
     projector_matrices,
@@ -188,19 +187,28 @@ def test_negative_control_every_family(family):
     assert all(r.ok == (r.residual == "0") for r in report.results)
 
 
+def _at(v, q0):
+    """v(q0) specialised on its own, not through the memo verify uses."""
+    return RatFunc.from_fraction(v.specialize(q0))
+
+
 def _residual_oracle(assignment, rels, q0):
     """(passed, witness) per relation, from the residual lhs - rhs built
     as one linear combination and evaluated whole: the check verify
-    replaced by comparing the two sides."""
+    replaced by comparing the two sides.  At q0 every matrix entry and
+    coefficient is specialised entry by entry, without RatFunc.at."""
     n = next(iter(assignment.values())).n
     if q0 is not None:
-        assignment = {name: m.specialize(q0) for name, m in assignment.items()}
+        assignment = {
+            name: Mat.from_dense([[_at(v, q0) for v in row] for row in m.to_dense()])
+            for name, m in assignment.items()
+        }
     full = _with_inverses(assignment, rels, q0=q0)
     out = []
     for rel in rels:
         comb = lc_sub(rel.lhs, rel.rhs)
         if q0 is not None:
-            comb = lincomb_specialize(comb, q0)
+            comb = {w: _at(c, q0) for w, c in comb.items()}
         r = eval_lincomb(comb, full, n)
         out.append((r.is_zero(), r.first_entry_string()))
     return out

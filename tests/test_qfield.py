@@ -614,8 +614,9 @@ def test_tables_stay_within_their_bound(monkeypatch):
         c = RatFunc((i, 1), (1, 0, i))
         assert x * c == RatFunc.__mul__.__wrapped__(x, c)
         assert x + c == RatFunc.__add__.__wrapped__(x, c)
+        assert c.at(i) == RatFunc.from_fraction(c.specialize(i))
         assert 0 < len(qfield._PRODUCTS) <= 8 and 0 < len(qfield._SUMS) <= 8
-        assert 0 < len(qfield._INTERN) <= 8
+        assert 0 < len(qfield._INTERN) <= 8 and 0 < len(qfield._AT) <= 8
 
 
 def test_non_ratfunc_operands_bypass_the_tables():
@@ -669,3 +670,33 @@ def test_a_value_rebuilt_after_the_intern_table_is_emptied_acts_the_same():
     for x, y in ((a, b), (a2, b), (b, a2), (a, a2), (a2, a2)):
         assert x + y == RatFunc.__add__.__wrapped__(x, y)
         assert x * y == RatFunc.__mul__.__wrapped__(x, y)
+
+
+# -- the specialisation memo ---------------------------------------------------
+
+
+# points that often share a numerator or a denominator, so that a memo key
+# missing either part would return another point's value
+_POINTS = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=4)
+
+
+@given(_ratfuncs(), _POINTS)
+@example(RatFunc((0, 1)), [Fraction(1), Fraction(1, 2)])
+def test_at_is_the_memoised_specialisation(x, points):
+    for q0 in points:
+        try:
+            value = x.specialize(q0)
+        except PoleAtPoint:
+            continue
+        assert x.at(q0) == RatFunc.from_fraction(value)
+        assert x.at(q0) is x.at(q0)
+
+
+def test_a_pole_raises_on_every_call_and_stores_nothing():
+    x = RatFunc((1,), (-2, 1))  # 1/(q - 2)
+    qfield._AT.clear()
+    for q0 in (2, Fraction(2), 2, Fraction(4, 2)):
+        with pytest.raises(PoleAtPoint):
+            x.at(q0)
+    assert not qfield._AT
+    assert x.at(3) == 1 and len(qfield._AT) == 1

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from qrook import cli, shapes
 from qrook.qfield import Q, RF_ONE, RatFunc, as_ratfunc
 from qrook.shapes import (
     FAMILY_A_QUOTIENT,
@@ -256,3 +257,16 @@ def test_index_set_sizes_consistent(k, r):
     shapes = index_set_H(k, r)
     assert len(set(shapes)) == len(shapes)
     assert all(sum(sum(p) for p in s) == k and len(s) == r for s in shapes)
+
+
+def test_dims_evaluates_each_distinct_determinant_once(capsys):
+    shapes._aitken.cache_clear()
+    assert cli.main(["dims", "--rook", "11"]) == 0
+    capsys.readouterr()
+    assert shapes._aitken.cache_info().misses == 195
+
+
+def test_cached_count_equals_the_uncached_determinant():
+    for n in range(13):
+        for p in enumerate_partitions(n):
+            assert count_standard_tableaux(p) == shapes._aitken.__wrapped__(p, ()), p
