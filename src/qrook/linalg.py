@@ -4,25 +4,17 @@ Matrices are dict-of-rows ``{i: {j: RatFunc}}`` with explicit size; zero
 entries are never stored.  Row reduction pivots on the leftmost nonzero
 column, which makes every dimension count reproducible.
 
-``span_dimension`` has two exact paths with one breadth-first loop.
-When every generator entry is a Laurent polynomial, it eliminates over
-Z[q, q^-1] with plain integers (``LaurentSpan``), which is possible while
-every pivot's lead entry is a unit +-q^a: dividing by a unit stays in the
-ring, the candidates and the pivot rule are those of the Q(q) path, so
-the vectors and every dependence decision are the same.  Otherwise, or at
-the first lead entry that is not a unit, it runs from the start over Q(q)
-(``RowSpan``), the general path and the oracle of record.
-
-The ring path compiles each generator once into rows
-``{k: ((j - k, exponent, int), ...)}``, so a product costs one row lookup
-per term of the vector, and ``RowSpan.reduce`` works in place on the
-fresh product.  Both paths leave out every word with a proper suffix
-whose product reduced to zero: such a word already lies in the span, so
-the pivots are unchanged (the standard-monomial argument of Bergman's
-diamond lemma, proved at ``_saturate``).  The rule is kept with suffix
-links: each basis vector knows the basis vector of its word without the
-first letter and two bitmasks of letters, so a candidate costs one bit
-test.
+``span_dimension`` saturates a word span over Q(q) in one breadth-first
+loop.  A product is formed on the flat vector: flat index i*n + k times
+generator entry g[k][j] lands on i*n + j, one row lookup per term of the
+vector, and ``RowSpan.reduce`` works in place on the fresh product.  Both
+look every entry product and sum up in qfield's memo tables first, as
+``Mat`` does.  The loop leaves out every word with a proper suffix whose
+product reduced to zero: such a word already lies in the span, so the
+pivots are unchanged (the standard-monomial argument of Bergman's diamond
+lemma, proved at ``_saturate``).  The rule is kept with suffix links: each
+basis vector knows the basis vector of its word without the first letter
+and two bitmasks of letters, so a candidate costs one bit test.
 
 ``span_dimension(generators, n, vector=v)`` saturates the orbit of v
 instead, as the row v^T times the transposed generators: n entries per
@@ -255,10 +247,11 @@ def hecke_inverse(t: Mat, qval: RatFunc, qinv: RatFunc) -> Mat:
 class RowSpan:
     """Row-reduced basis of sparse vectors over Q(q), ``{index: RatFunc}``.
 
-    Each pivot is stored under its leftmost column and normalised so that
-    its entry there is exactly 1.  ``reduce`` and ``insert`` are written
-    once; how a vector is stored is left to ``_lead``, ``_subtract`` and
-    ``_normalise``, which :class:`LaurentSpan` overrides."""
+    Each pivot is stored under its leftmost column, ``min(vec)``, and
+    normalised so that its entry there is exactly 1.  A vector must store
+    no zero entry, or its lead would be a false pivot.  Like ``Mat``, the
+    updates look each product and sum up in qfield's memo tables and call
+    the RatFunc operator only on a miss."""
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}  # pivot index -> normalized vector
@@ -268,7 +261,7 @@ class RowSpan:
         return it; the caller hands over a vector nothing else holds."""
         pivots = self.pivots
         while vec:
-            lead = self._lead(vec)
+            lead = min(vec)
             basis_vec = pivots.get(lead)
             if basis_vec is None:
                 break
@@ -281,7 +274,7 @@ class RowSpan:
         vec = self.reduce(vec)
         if not vec:
             return vec
-        lead = self._lead(vec)
+        lead = min(vec)
         vec = self._normalise(vec, lead)
         self.pivots[lead] = vec
         return vec
@@ -289,117 +282,59 @@ class RowSpan:
     def __len__(self):
         return len(self.pivots)
 
-    _lead = staticmethod(min)
-
     @staticmethod
     def _subtract(vec: dict, lead: int, basis_vec: dict):
         """vec -= vec[lead] * basis_vec, in place."""
+        products, sums = _PRODUCTS, _SUMS
         c = -vec[lead]
+        sid = c.sid
         for j, v in basis_vec.items():
+            p = products.get((sid, v.sid)) or c * v
             cur = vec.get(j)
-            s = c * v if cur is None else cur + c * v
+            if cur is None:
+                vec[j] = p  # a product of nonzero entries is never zero
+                continue
+            s = sums.get((cur.sid, p.sid)) or cur + p
             if s.is_zero():
-                vec.pop(j, None)
+                del vec[j]
             else:
                 vec[j] = s
 
     @staticmethod
     def _normalise(vec: dict, lead: int) -> dict:
         c = vec[lead].inv()
-        return {j: c * v for j, v in vec.items()}
-
-
-class NonUnitPivot(Exception):
-    """A new pivot's lead entry is not a unit +-q^a of Z[q, q^-1]."""
-
-
-class LaurentSpan(RowSpan):
-    """The same elimination over Z[q, q^-1].
-
-    A vector is a Laurent polynomial with integer vector coefficients,
-    ``{exponent: {index: int}}`` with no empty coefficient, so every
-    update is integer arithmetic on one flat dict.  While every pivot's
-    lead entry is a unit +-q^a, normalising it needs no division and all
-    vectors stay in Z[q, q^-1]; ``insert`` raises NonUnitPivot at the
-    first lead entry that is anything else."""
-
-    @staticmethod
-    def _lead(vec: dict) -> int:
-        return min(min(s) for s in vec.values())
-
-    @staticmethod
-    def _subtract(vec: dict, lead: int, basis_vec: dict):
-        c = [(a, s[lead]) for a, s in vec.items() if lead in s]
-        for a, x in c:
-            for b, p in basis_vec.items():
-                s = vec.get(a + b)
-                if s is None:
-                    vec[a + b] = {j: -x * y for j, y in p.items()}
-                    continue
-                for j, y in p.items():
-                    t = s.get(j, 0) - x * y
-                    if t:
-                        s[j] = t
-                    else:
-                        del s[j]
-                if not s:
-                    del vec[a + b]
-
-    @staticmethod
-    def _normalise(vec: dict, lead: int) -> dict:
-        c = [(a, s[lead]) for a, s in vec.items() if lead in s]
-        if len(c) != 1 or c[0][1] not in (1, -1):
-            raise NonUnitPivot
-        ((a, x),) = c
-        return {e - a: {j: x * y for j, y in s.items()} for e, s in vec.items()}
-
-
-def _compile(g: Mat):
-    """g as rows {k: ((j - k, exponent, int), ...)}: row k of g with each
-    entry split into the integer coefficients of its powers of q, or None
-    if an entry's denominator is not a monic power of q."""
-    out: dict = {}
-    for k, r in g.rows.items():
-        row = out[k] = []
-        for j, v in r.items():
-            p = v.laurent()
-            if p is None:
-                return None
-            row.extend((j - k, b, y) for b, y in p.items())
-    return {k: tuple(row) for k, row in out.items()}
-
-
-def _laurent_product(vec: dict, rows: dict, n: int) -> dict:
-    """The LaurentSpan vector of (vec as an n x n matrix) @ g, with g
-    compiled by _compile: flat index i*n + k times g[k][j] lands on
-    i*n + j, one row lookup per term of vec."""
-    out: dict = {}
-    for e, s in vec.items():
-        for idx, x in s.items():
-            row = rows.get(idx % n)
-            if row is None:
-                continue
-            for d, b, y in row:
-                acc = out.get(e + b)
-                if acc is None:
-                    out[e + b] = {idx + d: x * y}
-                else:
-                    acc[idx + d] = acc.get(idx + d, 0) + x * y
-    for e, acc in list(out.items()):
-        if 0 in acc.values():
-            acc = out[e] = {j: x for j, x in acc.items() if x}
-        if not acc:
-            del out[e]
-    return out
+        if c is RF_ONE:
+            return vec
+        products, sid = _PRODUCTS, c.sid
+        return {j: products.get((sid, v.sid)) or c * v for j, v in vec.items()}
 
 
 def _rational_product(vec: dict, g: Mat, n: int) -> dict:
-    """The flattened (vec as an n x n matrix) @ g over Q(q)."""
-    rows: dict = {}
+    """The flattened (vec as an n x n matrix) @ g: flat index idx = i*n + k
+    times g[k][j] lands on idx - k + j, one row lookup per term of vec.
+    A factor that is RF_ONE is not multiplied, and sums that cancel are
+    dropped, so no zero entry is stored."""
+    out: dict = {}
+    grows, products, sums, one = g.rows, _PRODUCTS, _SUMS, RF_ONE
+    summed = False  # a product of nonzero entries is never zero
     for idx, v in vec.items():
-        rows.setdefault(idx // n, {})[idx % n] = v
-    prod = Mat(n, rows) @ g
-    return {i * n + j: v for i, r in prod.rows.items() for j, v in r.items()}
+        k = idx % n
+        row = grows.get(k)
+        if not row:
+            continue
+        base, sid = idx - k, v.sid
+        for j, y in row.items():
+            p = v if y is one else y if v is one else products.get((sid, y.sid)) or v * y
+            j += base
+            cur = out.get(j)
+            if cur is None:
+                out[j] = p
+            else:
+                out[j] = sums.get((cur.sid, p.sid)) or cur + p
+                summed = True
+    if summed:
+        out = {j: v for j, v in out.items() if not v.is_zero()}
+    return out
 
 
 def _saturate(span: RowSpan, start: dict, generators: list, product, n: int) -> int:
@@ -476,39 +411,10 @@ def _saturate(span: RowSpan, start: dict, generators: list, product, n: int) -> 
     return len(span)
 
 
-def _start(generators: list[Mat], n: int, vector):
-    """The vector a saturation starts from and the generators it
-    multiplies by on the right: the flattened n x n identity and the
-    generators or, for span_dimension(..., vector=v), v as a 1 x n row
-    and the transposes, since v^T g_1^T ... g_m^T = (g_m ... g_1 v)^T."""
-    if vector is None:
-        return {i * (n + 1): RF_ONE for i in range(n)}, generators
-    return dict(vector), [g.transpose() for g in generators]
-
-
-def _laurent_vector(vec: dict):
-    """vec as a LaurentSpan vector {exponent: {index: int}}, or None if
-    an entry is not a Laurent polynomial."""
-    out: dict = {}
-    for j, v in vec.items():
-        p = v.laurent()
-        if p is None:
-            return None
-        for e, c in p.items():
-            out.setdefault(e, {})[j] = c
-    return out
-
-
-def rational_span_dimension(generators: list[Mat], n: int, vector=None) -> int:
-    """span_dimension computed over Q(q) throughout: the general path,
-    and the oracle the ring path is tested against."""
-    start, generators = _start(generators, n, vector)
-    return _saturate(RowSpan(), start, generators, _rational_product, n)
-
-
 def span_dimension(generators: list[Mat], n: int, vector=None) -> int:
-    """Dimension of the span of all words in the generators or, given a
-    vector v of length n ({index: RatFunc}), of all words applied to v.
+    """Dimension over Q(q) of the span of all words in the generators or,
+    given a vector v of length n ({index: RatFunc}, zero entries ignored),
+    of all words applied to v.
 
     Breadth-first saturation starting from the identity (or from v):
     whenever a product falls outside the current span it is appended
@@ -516,41 +422,25 @@ def span_dimension(generators: list[Mat], n: int, vector=None) -> int:
     in turn.  Terminates since the span dimension is at most n^2 (n for
     the orbit of v).  A word that has a proper suffix whose product
     reduced to zero is not formed: it already lies in the span (proof at
-    _saturate).  Both paths use the rule.
+    _saturate).
 
-    The orbit of v is saturated as the row v^T times the transposes
-    g^T, so the word (t_1, ..., t_m) gives (g_tm ... g_t1 v)^T.  The rule
-    is exact on it when a -> a v is injective on the span A of the words,
-    as for the identity element of a regular representation.  Then
-    M -> v^T M is injective on the span of the transposed words, so a
-    candidate reduces to zero iff its word in the transposes does, and
-    every decision, every word left out and the dimension are those of
-    span_dimension on the transposes.  Without injectivity the rule is
-    unsound, even for a cyclic vector of a faithful module (E_12 e_1 = 0
-    for the 2 x 2 matrices acting on C^2): that u v lies in the span of
-    smaller words applied to v says nothing about u (x v).
-
-    Which path runs: when every generator entry (and every entry of v)
-    is a Laurent polynomial (its denominator a monic power of q), the
-    ring path saturates in a LaurentSpan over Z[q, q^-1], with each
-    generator compiled once into rows {k: ((j - k, exponent, int), ...)}
-    of integer coefficients.  It is exact and gives the Q(q) answer: it
-    meets the same candidates in the same order as the Q(q) path and
-    applies the same pivot rule, and while every pivot's lead entry is a
-    unit +-q^a, normalising by its inverse keeps every vector in
-    Z[q, q^-1] and equal, entry for entry, to the Q(q) path's vector; so
-    every dependence decision, and so every word left out, is the same.
-    A lead entry that is not a unit raises NonUnitPivot, and the
-    computation starts again from the identity (or v), with no word
-    known to reduce to zero, on the Q(q) path (rational_span_dimension),
-    which also runs at once when some entry has another denominator.
+    The identity is the flattened n x n identity matrix.  The orbit of v
+    is saturated as the row v^T times the transposes g^T, since
+    v^T g_1^T ... g_m^T = (g_m ... g_1 v)^T, so the word (t_1, ..., t_m)
+    gives (g_tm ... g_t1 v)^T.  The rule is exact on it when a -> a v is
+    injective on the span A of the words, as for the identity element of
+    a regular representation.  Then M -> v^T M is injective on the span
+    of the transposed words, so a candidate reduces to zero iff its word
+    in the transposes does, and every decision, every word left out and
+    the dimension are those of span_dimension on the transposes.  Without
+    injectivity the rule is unsound, even for a cyclic vector of a
+    faithful module (E_12 e_1 = 0 for the 2 x 2 matrices acting on C^2):
+    that u v lies in the span of smaller words applied to v says nothing
+    about u (x v).
     """
-    start, gens = _start(generators, n, vector)
-    rows = [_compile(g) for g in gens]
-    start = _laurent_vector(start)
-    if start is not None and all(r is not None for r in rows):
-        try:
-            return _saturate(LaurentSpan(), start, rows, _laurent_product, n)
-        except NonUnitPivot:
-            pass
-    return rational_span_dimension(generators, n, vector)
+    if vector is None:
+        start = {i * (n + 1): RF_ONE for i in range(n)}
+    else:
+        start = {j: v for j, v in vector.items() if not v.is_zero()}
+        generators = [g.transpose() for g in generators]
+    return _saturate(RowSpan(), start, generators, _rational_product, n)

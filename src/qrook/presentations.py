@@ -22,7 +22,6 @@ from .qfield import (
     RatFunc,
     as_ratfunc,
     quantum_factorial,
-    specialize,
 )
 
 Word = tuple
@@ -503,7 +502,7 @@ def semisimple_cyclotomic(u, k: int, q0=None) -> bool:
     qsq = Q * Q
     if q0 is not None:
         q0 = Fraction(q0)
-        u = [specialize(x, q0) for x in u]
+        u = [x.specialize(q0) for x in u]
         qsq = q0**2
     return not any(
         qsq**d * u[a] == u[b]
@@ -521,7 +520,7 @@ def semisimple_rook(k: int, q0=None) -> bool:
     q0 = Fraction(q0)
     if q0 == 0:
         raise InvalidArgument("q must be nonzero")
-    return specialize(quantum_factorial(k), q0) != 0
+    return quantum_factorial(k).specialize(q0) != 0
 
 
 def indecomposable_witness(k: int, u1) -> dict:

@@ -36,8 +36,12 @@ of thousands of times.  A hit is exact: every RatFunc is canonical and
 immutable (it has ``__slots__`` and only ``__new__`` assigns ``num``,
 ``den`` and ``sid``), and a serial names one object, so equal keys mean
 the same operands and the stored result is the value the operation would
-compute again.  ``linalg.Mat`` probes the two tables itself before it
-calls an operator, so they are only ever cleared in place, never rebound.
+compute again.  ``linalg`` probes the two tables itself before it calls an
+operator: ``Mat.__matmul__``, ``Mat.__add__`` and ``Mat.scale``, and in
+word-span saturation ``RowSpan._subtract``, ``RowSpan._normalise`` and
+``_rational_product``.  It imports them by name, so they are only ever
+cleared in place, never rebound; tests/test_hygiene.py checks that
+statically for all four tables.
 Each table, ``_INTERN`` included, is emptied once it holds
 ``MEMO_LIMIT`` entries, which bounds its memory.  Emptying a memo table
 empties ``_INTERN`` too, which would otherwise keep alive every result
@@ -492,14 +496,6 @@ class RatFunc:
 
     # -- misc ------------------------------------------------------------
 
-    def laurent(self):
-        """{exponent: coefficient} when the denominator is a monic power
-        of q (self is then a Laurent polynomial), otherwise None."""
-        e = len(self.den) - 1
-        if self.den[-1] != 1 or self.den.count(0) != e:
-            return None
-        return {i - e: c for i, c in enumerate(self.num) if c}
-
     def specialize(self, q0) -> Fraction:
         q0 = Fraction(q0)
         d = poly_eval(self.den, q0)
@@ -587,10 +583,6 @@ RF_ZERO = RatFunc(P_ZERO, P_ONE, _canonical=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _canonical=True)
 Q = RatFunc.q_power(1)
 QINV = RatFunc.q_power(-1)
-
-
-def specialize(f: RatFunc, q0) -> Fraction:
-    return f.specialize(q0)
 
 
 def quantum_integer(i: int) -> RatFunc:

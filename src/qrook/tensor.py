@@ -24,7 +24,7 @@ from .presentations import (
     tower_x_matrices,
     verify,
 )
-from .qfield import Q, QINV, RF_ONE, RatFunc, as_ratfunc, specialize
+from .qfield import Q, QINV, RF_ONE, RatFunc, as_ratfunc
 from .shapes import count_standard_tableaux, index_set_H
 
 
@@ -259,7 +259,7 @@ def rmatrix_at_one_is_flip(n: int) -> bool:
         for j in range(n):
             col = i * n + j
             for row in range(n * n):
-                val = specialize(rm.get(row, col), one)
+                val = rm.get(row, col).specialize(one)
                 expect = 1 if row == j * n + i else 0
                 if val != expect:
                     return False

@@ -74,7 +74,8 @@ CORPUS = [
         ["rep", "--skew", "[3,2]/[1]", "--k", "4"],
         "6252a0c88c6a08f514a53ad116ff68d6a9b19b9d424eb8d20e77373911572347",
     ),
-    # the word span over Z[q, q^-1], and (u = (1, 3)) its restart over Q(q)
+    # the word span where every pivot lead is a unit +-q^a (u = (0, 1)),
+    # and where an early lead is 1 - q^2 (u = (1, 3))
     (
         ["schurweyl", "--m", "1,1", "--k", "5", "--u", "0,1"],
         "8578a73721d5e2130364dad063d5b4793ce508f71d2bbdfd473f03975d540e2b",
@@ -83,7 +84,7 @@ CORPUS = [
         ["schurweyl", "--m", "1,1", "--k", "4", "--u", "1,3"],
         "edc178ad672f82a818f0a35dbc4d06f77fea77da238c41e3a26a411fae185c5b",
     ),
-    # the restart over Q(q) at k = 5: about 24,000 gcds, 2 in 5 non-trivial
+    # u = (1, 3) at k = 5: about 24,000 gcds, 2 in 5 non-trivial
     (
         ["schurweyl", "--m", "1,1", "--k", "5", "--u", "1,3"],
         "0bc89f4b3c9112c108951244eae021d76788958bb7816e447dc6479efc4509bd",

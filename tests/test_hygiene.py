@@ -1,8 +1,9 @@
 """Source hygiene: no qrook module imports a name it never uses, nothing
 can change a RatFunc after ``RatFunc.__new__`` builds it, only ``linalg`` builds a
-Mat from a rows dict or writes into one, no invariant rests on an
-``assert`` statement or a raised ``AssertionError``, and every exception
-class in ``errors.py`` is raised somewhere."""
+Mat from a rows dict or writes into one, nothing rebinds qfield's memo
+tables, no invariant rests on an ``assert`` statement or a raised
+``AssertionError``, and every exception class in ``errors.py`` is raised
+somewhere."""
 
 import ast
 from pathlib import Path
@@ -10,10 +11,12 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qrook"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 RATFUNC_FIELDS = {"num", "den", "sid"}
 ATTRIBUTE_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 DICT_MUTATORS = {"setdefault", "pop", "popitem", "update", "clear", "__setitem__", "__delitem__"}
+MEMO_TABLES = {"_SUMS", "_PRODUCTS", "_INTERN", "_AT"}
 
 
 def unused_imports(source: str) -> list:
@@ -177,6 +180,84 @@ def test_only_linalg_writes_mat_rows():
         for p in sorted(SRC.glob("*.py"))
         if p.name != "linalg.py"
         for w in mat_row_writes(p.read_text())
+    ]
+    assert found == []
+
+
+def memo_table_rebinds(source: str, defines: bool = False) -> list:
+    """Places that could rebind one of qfield's memo tables (``_SUMS``,
+    ``_PRODUCTS``, ``_INTERN``, ``_AT``): a store to or deletion of a name
+    or attribute so called, and a ``setattr``/``delattr`` call (a
+    monkeypatch's included) given the name as a string.  With ``defines``
+    (the source is qfield) the first module-level assignment of each
+    table is its definition.  ``linalg`` imports the tables by name and
+    probes them inline, so a rebound table would leave it reading a stale
+    dict; the tables may only be cleared in place."""
+    tree = ast.parse(source)
+    definitions = {}  # table name -> the target of its first module-level assignment
+    if defines:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name) and target.id in MEMO_TABLES:
+                        definitions.setdefault(target.id, target)
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Name) and node.id in MEMO_TABLES:
+            if not isinstance(node.ctx, ast.Load) and definitions.get(node.id) is not node:
+                found.append(f"{where}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in MEMO_TABLES and not isinstance(node.ctx, ast.Load):
+            found.append(f"{where}: .{node.attr}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in {"setattr", "delattr"}:
+                for arg in node.args:
+                    text = arg.value if isinstance(arg, ast.Constant) else None
+                    if isinstance(text, str) and text.rpartition(".")[2] in MEMO_TABLES:
+                        found.append(f"{where}: {name}({text!r})")
+    return found
+
+
+def test_detector_sees_memo_table_rebinds():
+    source = (
+        "_SUMS: dict = {}\n"
+        "_AT = {}\n"
+        "_SUMS = {}\n"
+        "def f(qfield, monkeypatch):\n"
+        "    global _PRODUCTS\n"
+        "    _PRODUCTS = {}\n"
+        "    qfield._INTERN = {}\n"
+        "    _AT |= {}\n"
+        "    del qfield._SUMS\n"
+        "    monkeypatch.setattr(qfield, '_AT', {})\n"
+        "    monkeypatch.setattr('qrook.qfield._PRODUCTS', {})\n"
+        "    _SUMS.clear()\n"
+        "    qfield._INTERN.clear()\n"
+        "    monkeypatch.setattr(qfield, 'MEMO_LIMIT', 8)\n"
+        "    return _SUMS.get(0), getattr(qfield, '_AT'), len(qfield._PRODUCTS)\n"
+    )
+    expected = [
+        "line 3: _SUMS",
+        "line 6: _PRODUCTS",
+        "line 7: ._INTERN",
+        "line 8: _AT",
+        "line 9: ._SUMS",
+        "line 10: setattr('_AT')",
+        "line 11: setattr('qrook.qfield._PRODUCTS')",
+    ]
+    assert memo_table_rebinds(source, defines=True) == expected
+    # outside qfield, the definitions are rebinds too
+    assert memo_table_rebinds(source) == ["line 1: _SUMS", "line 2: _AT"] + expected
+
+
+def test_memo_tables_are_never_rebound():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = [
+        f"{p.name}: {w}"
+        for p in paths
+        for w in memo_table_rebinds(p.read_text(), defines=p == SRC / "qfield.py")
     ]
     assert found == []
 

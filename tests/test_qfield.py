@@ -29,7 +29,6 @@ from qrook.qfield import (
     poly_trim,
     quantum_factorial,
     quantum_integer,
-    specialize,
 )
 
 
@@ -70,13 +69,13 @@ def test_quantum_factorial():
 
 
 def test_specialize_values():
-    assert specialize(quantum_factorial(2), Fraction(1)) == 2
-    assert specialize(Q - QINV, Fraction(1)) == 0
+    assert quantum_factorial(2).specialize(Fraction(1)) == 2
+    assert (Q - QINV).specialize(Fraction(1)) == 0
     with pytest.raises(PoleAtPoint):
-        specialize(RatFunc((1,), (-1, 1)), Fraction(1))  # 1/(q-1) at q=1
+        RatFunc((1,), (-1, 1)).specialize(Fraction(1))  # 1/(q-1) at q=1
     with pytest.raises(PoleAtPoint):
-        specialize(RatFunc((1,), (-1, 2)), Fraction(1, 2))  # 1/(2q-1) at q=1/2
-    assert specialize(RatFunc((1,), (-1, 2)), Fraction(-3, 2)) == Fraction(-1, 4)
+        RatFunc((1,), (-1, 2)).specialize(Fraction(1, 2))  # 1/(2q-1) at q=1/2
+    assert RatFunc((1,), (-1, 2)).specialize(Fraction(-3, 2)) == Fraction(-1, 4)
 
 
 def _poly_eval_fraction_horner(a, x):
@@ -273,11 +272,11 @@ def test_inverse_law(a):
 def test_specialize_is_homomorphism(a, b, q0):
     q0 = Fraction(q0)
     try:
-        va, vb = specialize(a, q0), specialize(b, q0)
+        va, vb = a.specialize(q0), b.specialize(q0)
     except PoleAtPoint:
         return
-    assert specialize(a + b, q0) == va + vb
-    assert specialize(a * b, q0) == va * vb
+    assert (a + b).specialize(q0) == va + vb
+    assert (a * b).specialize(q0) == va * vb
 
 
 @pytest.mark.parametrize("k", range(9))

@@ -1,23 +1,15 @@
-"""Word-span saturation: the ring path over Z[q, q^-1] against the Q(q)
-path, which stays the oracle of record, the words _saturate leaves out
-against a saturation that forms every product, its suffix links against
-the tuple rule they replaced, and the orbit of a vector against the
-word span."""
+"""Word-span saturation over Q(q): the flat product against Mat @, the
+words _saturate leaves out against a saturation that forms every
+product, its suffix links against the tuple rule they replaced, and the
+orbit of a vector against the word span."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrook import linalg
-from qrook.linalg import (
-    LaurentSpan,
-    Mat,
-    NonUnitPivot,
-    RowSpan,
-    rational_span_dimension,
-    span_dimension,
-)
+from qrook.linalg import Mat, RowSpan, span_dimension
 from qrook.presentations import algebra_dimension
-from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
+from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, as_ratfunc
 from qrook.rook import (
     PartialInjection,
     enumerate_rook,
@@ -25,7 +17,6 @@ from qrook.rook import (
     regular_dimension,
     rook_cardinality,
 )
-from qrook.seminormal import cyclotomic_module
 from qrook.tensor import GradedBasis, phiP, predicted_centralizer_dimension, verify_phiP
 
 U01 = (as_ratfunc(0), as_ratfunc(1))
@@ -47,9 +38,9 @@ POOL = [
 
 
 # at least half the entries are zero: dense generators with non-unit
-# entries make the Q(q) oracle itself take seconds (degree growth in its
-# pivots).  The draws mix all three routes: the ring path to the end, a
-# restart at a non-unit pivot, and non-Laurent entries.
+# entries make the saturation take seconds (degree growth in its pivots).
+# The draws mix pivot leads that are units +-q^a, non-unit Laurent
+# polynomials and entries whose denominator is not a power of q.
 _ENTRY = st.one_of(st.just(RF_ZERO), st.sampled_from(POOL))
 
 
@@ -126,10 +117,10 @@ def _commuting_hecke_generators(draw):
 @st.composite
 def _tensor_space_generators(draw):
     """The phiP generators of R_k on (C^1 + C^1)^k or (C^1 + C^2)^k,
-    k = 2 or 3, in a drawn order, at u = (0, 1) (the ring path) or
-    (1, 3) (a restart).  At k = 3 their word spans have standard words
-    of length 3 and more that end in a pair whose reverse reduced to
-    zero (X1 T2 = T2 X1), so a rule that leaves out a word without a
+    k = 2 or 3, in a drawn order, at u = (0, 1) or (1, 3), where an
+    early pivot lead is 1 - q^2.  At k = 3 their word spans have standard
+    words of length 3 and more that end in a pair whose reverse reduced
+    to zero (X1 T2 = T2 X1), so a rule that leaves out a word without a
     dependent suffix changes the pivots."""
     asg = phiP(draw(st.integers(2, 3)), GradedBasis(draw(st.sampled_from([(1, 1), (1, 2)]))),
                draw(st.sampled_from([U01, U13])))
@@ -147,6 +138,53 @@ def _with_a_dependent_letter(draw, generators):
     g = Mat(n) if extra == "zero" else Mat.identity(n) if extra == "identity" else draw(st.sampled_from(gens))
     gens.insert(draw(st.integers(0, len(gens))), g)
     return gens, n
+
+
+@st.composite
+def _products_to_form(draw):
+    """A generator g of size n from _small_generators or
+    _tensor_space_generators, a flat vector of n x n entries, none zero,
+    and the positions (i, j) where (vec as a matrix) @ g must cancel.  A
+    row of the vector either holds up to three drawn entries or is made
+    to cancel: for a column j of g with nonzero entries at rows k1 and
+    k2, it holds g[k2][j] at k1 and -g[k1][j] at k2, so its entry in
+    column j is g[k2][j] g[k1][j] - g[k1][j] g[k2][j] = 0."""
+    gens, n = draw(st.one_of(_small_generators(), _tensor_space_generators()))
+    g = draw(st.sampled_from(gens))
+    columns = [(j, sorted(col)) for j, col in g.transpose().rows.items() if len(col) >= 2]
+    vec, cancelled = {}, []
+    for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3)) if n else []:
+        if columns and draw(st.booleans()):
+            j, ks = draw(st.sampled_from(columns))
+            k1, k2 = draw(st.lists(st.sampled_from(ks), min_size=2, max_size=2, unique=True))
+            vec[i * n + k1], vec[i * n + k2] = g.get(k2, j), -g.get(k1, j)
+            cancelled.append(i * n + j)
+        else:
+            for k in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3)):
+                v = draw(st.sampled_from(POOL))
+                if not v.is_zero():
+                    vec[i * n + k] = v
+    return vec, g, n, cancelled
+
+
+def _matmul_product(vec, g, n):
+    """The flattened (vec as an n x n matrix) @ g, through a Mat and @."""
+    rows = {}
+    for idx, v in vec.items():
+        rows.setdefault(idx // n, {})[idx % n] = v
+    prod = Mat(n, rows) @ g
+    return {i * n + j: v for i, r in prod.rows.items() for j, v in r.items()}
+
+
+@settings(deadline=None, max_examples=200)
+@given(_products_to_form())
+def test_flat_product_is_the_matrix_product(case):
+    vec, g, n, cancelled = case
+    out = linalg._rational_product(vec, g, n)
+    assert out == _matmul_product(vec, g, n)
+    # a stored zero would be RowSpan's lead min(vec), a false pivot
+    assert not any(v.is_zero() for v in out.values())
+    assert not any(idx in out for idx in cancelled)
 
 
 def _plain_saturate(span, identity, generators, product, n):
@@ -195,55 +233,36 @@ def _tuple_rule_saturate(span, start, generators, product, n):
     return len(span)
 
 
-def _paths(gens, n):
-    """(span, start, generators, product) for the Q(q) path and, when
-    every entry is a Laurent polynomial, for the ring path."""
-    out = [(RowSpan(), {i * (n + 1): RF_ONE for i in range(n)}, gens, linalg._rational_product)]
-    rows = [linalg._compile(g) for g in gens]
-    if all(r is not None for r in rows):
-        identity = {0: {i * (n + 1): 1 for i in range(n)}} if n else {}
-        out.append((LaurentSpan(), identity, rows, linalg._laurent_product))
-    return out
+def _path(gens, n):
+    """(span, start, generators, product) for the word span of gens."""
+    return RowSpan(), {i * (n + 1): RF_ONE for i in range(n)}, gens, linalg._rational_product
 
 
 def _formed_products(gens, n, saturate):
     """The products saturate forms, in order, as (vector, generator
-    index), on each path of _paths; on the ring path up to its end or
-    its first non-unit pivot lead."""
-    out = []
-    for span, start, generators, product in _paths(gens, n):
-        formed = []
+    index)."""
+    span, start, generators, product = _path(gens, n)
+    formed = []
 
-        def recording(vec, letter, n, product=product, formed=formed):
-            t, g = letter
-            formed.append((vec, t))
-            return product(vec, g, n)
+    def recording(vec, letter, n):
+        t, g = letter
+        formed.append((vec, t))
+        return product(vec, g, n)
 
-        try:
-            saturate(span, start, list(enumerate(generators)), recording, n)
-        except NonUnitPivot:
-            formed.append("NonUnitPivot")
-        out.append(formed)
-    return out
+    saturate(span, start, list(enumerate(generators)), recording, n)
+    return formed
 
 
 def _saturated_pivots(gens, n, saturate):
-    """The pivots saturate finds on the Q(q) path and, when every entry
-    is a Laurent polynomial and no pivot lead is a non-unit, on the ring
-    path (else None)."""
-    pivots = [None, None]
-    for path, (span, *args) in enumerate(_paths(gens, n)):
-        try:
-            saturate(span, *args, n)
-        except NonUnitPivot:
-            break
-        pivots[path] = span.pivots
-    return tuple(pivots)
+    """The pivots saturate finds."""
+    span, *args = _path(gens, n)
+    saturate(span, *args, n)
+    return span.pivots
 
 
 def _check_span_paths(gens, n):
-    assert span_dimension(gens, n) == rational_span_dimension(gens, n)
-    # the words left out change no pivot, on either path
+    assert span_dimension(gens, n) == _plain_span_dimension(*_path(gens, n), n)
+    # the words left out change no pivot
     assert _saturated_pivots(gens, n, linalg._saturate) == _saturated_pivots(gens, n, _plain_saturate)
 
 
@@ -280,18 +299,9 @@ def test_suffix_links_form_the_products_of_the_tuple_rule(case):
     assert _formed_products(gens, n, linalg._saturate) == _formed_products(gens, n, _tuple_rule_saturate)
 
 
-def _as_ratfunc_vector(vec):
-    """A LaurentSpan vector {exponent: {index: int}} as {index: RatFunc}."""
-    out = {}
-    for e, s in vec.items():
-        for j, c in s.items():
-            out[j] = out.get(j, RF_ZERO) + c * RatFunc.q_power(e)
-    return out
-
-
 def _spans(monkeypatch, generators, n):
-    """Run span_dimension and the Q(q) path; return the spans each
-    saturated and, for each RowSpan.reduce call, the span it reduced in."""
+    """Run span_dimension; return its dimension, the spans it saturated
+    and, for each RowSpan.reduce call, the span it reduced in."""
     spans, calls = [], []
     saturate, reduce = linalg._saturate, RowSpan.reduce
 
@@ -305,65 +315,36 @@ def _spans(monkeypatch, generators, n):
 
     monkeypatch.setattr(linalg, "_saturate", recording_saturate)
     monkeypatch.setattr(RowSpan, "reduce", counting_reduce)
-    dims = (span_dimension(generators, n), rational_span_dimension(generators, n))
-    return dims, spans, calls
-
-
-def test_ring_path_repeats_the_rational_elimination(monkeypatch):
-    asg = phiP(4, GradedBasis((1, 1)), U01)
-    gens = [asg[name] for name in sorted(asg)]
-    dims, spans, calls = _spans(monkeypatch, gens, gens[0].n)
-    assert dims == (70, 70)
-    ring, rational = spans
-    assert type(ring) is LaurentSpan and type(rational) is RowSpan
-    assert calls.count(ring) == calls.count(rational) > 70
-    # the same pivots, holding the same vectors entry for entry
-    assert ring.pivots.keys() == rational.pivots.keys()
-    for lead, vec in rational.pivots.items():
-        assert _as_ratfunc_vector(ring.pivots[lead]) == vec
-
-
-def test_ring_path_runs_without_the_rational_path(monkeypatch):
-    def fail(*args):
-        raise RuntimeError("the Q(q) path ran")
-
-    monkeypatch.setattr(linalg, "rational_span_dimension", fail)
-    assert algebra_dimension(phiP(4, GradedBasis((1, 1)), U01)) == 70
+    return span_dimension(generators, n), spans, calls
 
 
 def test_restart_on_a_non_unit_pivot(monkeypatch):
-    # u = (1, 3) puts 1 - q^2 at the lead of an early pivot
+    # u = (1, 3) puts 1 - q^2 at the lead of an early pivot, which the one
+    # Q(q) path normalises like any other lead
     asg = phiP(4, GradedBasis((1, 1)), U13)
     gens = [asg[name] for name in sorted(asg)]
-    dims, spans, _ = _spans(monkeypatch, gens, gens[0].n)
-    assert [type(s) for s in spans] == [LaurentSpan, RowSpan, RowSpan]
-    assert dims == (70, 70)
+    dim, spans, _ = _spans(monkeypatch, gens, gens[0].n)
+    assert [type(s) for s in spans] == [RowSpan]
+    assert dim == 70
     monkeypatch.undo()
     assert verify_phiP(4, GradedBasis((1, 1)), (1, 3))["centralizer"]["dimension"] == 70
     assert predicted_centralizer_dimension(4, GradedBasis((1, 1))) == 70
 
 
-@pytest.mark.parametrize(
-    "u, calls_per_span, calls_per_span_all",
-    [(U01, [88, 88], [281, 281]), (U13, [5, 88, 88], [5, 281, 281])],
-    ids=["ring", "restart"],
-)
-def test_skip_keeps_the_pivots(monkeypatch, u, calls_per_span, calls_per_span_all):
+# ring: every pivot lead is a unit +-q^a; restart: an early lead is 1 - q^2
+@pytest.mark.parametrize("u", [U01, U13], ids=["ring", "restart"])
+def test_skip_keeps_the_pivots(monkeypatch, u):
     asg = phiP(4, GradedBasis((1, 1)), u)
     gens = [asg[name] for name in sorted(asg)]
-    dims, spans, calls = _spans(monkeypatch, gens, gens[0].n)
+    dim, spans, calls = _spans(monkeypatch, gens, gens[0].n)
     monkeypatch.undo()
     monkeypatch.setattr(linalg, "_saturate", _plain_span_dimension)
-    dims_all, spans_all, calls_all = _spans(monkeypatch, gens, gens[0].n)
-    assert dims == dims_all == (70, 70)
-    assert [type(s) for s in spans] == [type(s) for s in spans_all]
-    # every span: the ring path (cut short at u = (1, 3)), the Q(q) restart
-    # and the Q(q) oracle
+    dim_all, spans_all, calls_all = _spans(monkeypatch, gens, gens[0].n)
+    assert dim == dim_all == 70
     assert [s.pivots for s in spans] == [s.pivots for s in spans_all]
-    # RowSpan.reduce calls in each span, with the words left out and
-    # with every product formed
-    assert [calls.count(s) for s in spans] == calls_per_span
-    assert [calls_all.count(s) for s in spans_all] == calls_per_span_all
+    # RowSpan.reduce calls with the words left out and with every product
+    # formed
+    assert (len(calls), len(calls_all)) == (88, 281)
 
 
 def test_two_letter_dependent_words():
@@ -386,7 +367,7 @@ def test_two_letter_dependent_words():
 def test_skip_needs_a_quadratic_generator():
     # 1, q, q^2 are distinct, so g^2 is not in the span of 1 and g
     g = Mat.diagonal([1, Q, Q * Q])
-    assert span_dimension([g], 3) == rational_span_dimension([g], 3) == 3
+    assert span_dimension([g], 3) == 3
     assert _saturated_pivots([g], 3, linalg._saturate) == _saturated_pivots([g], 3, _plain_saturate)
 
 
@@ -426,39 +407,20 @@ def test_square_reduces_to_zero_iff_quadratic():
 
 
 def test_zero_size_span():
-    assert span_dimension([Mat(0)], 0) == rational_span_dimension([Mat(0)], 0) == 0
+    assert span_dimension([Mat(0)], 0) == span_dimension([Mat(0)], 0, {}) == 0
     assert algebra_dimension({"T": Mat(0)}) == 0
 
 
-def test_non_laurent_entries_take_the_rational_path(monkeypatch):
-    rep = cyclotomic_module(((1,), (1, 1)), U13)
-    gens = [rep.matrices[name] for name in sorted(rep.matrices)]
-    assert any(
-        v.laurent() is None for g in gens for row in g.rows.values() for v in row.values()
-    )
-    dims, spans, _ = _spans(monkeypatch, gens, rep.dimension)
-    assert [type(s) for s in spans] == [RowSpan, RowSpan]
-    assert dims == (9, 9)  # an irreducible module of dimension 3
-
-
-def test_laurent_conversion():
-    assert (Q - QINV).laurent() == {1: 1, -1: -1}
-    assert as_ratfunc(0).laurent() == {}
-    assert (3 * Q * Q).laurent() == {2: 3}
-    assert (Q + 1).inv().laurent() is None
-    assert as_ratfunc("1/2").laurent() is None
-
-
 def _products_formed(monkeypatch, run):
-    """run() and the number of products it formed on the ring path."""
+    """run() and the number of products it formed."""
     calls = []
-    product = linalg._laurent_product
+    product = linalg._rational_product
 
     def counting(*args):
         calls.append(None)
         return product(*args)
 
-    monkeypatch.setattr(linalg, "_laurent_product", counting)
+    monkeypatch.setattr(linalg, "_rational_product", counting)
     result = run()
     monkeypatch.undo()
     return result, len(calls)
@@ -502,15 +464,18 @@ def test_regular_dimension_5():
 
 
 def test_orbit_paths_agree():
-    # the orbit of the identity element on the ring path, over Q(q)
-    # throughout, and from a multiple of it that is not a Laurent
-    # polynomial, which takes the Q(q) path at once
+    # the orbit of the identity element, the same orbit with every product
+    # formed, the orbit of a multiple of it that is not a Laurent
+    # polynomial, and the identity element given with a zero entry
     asg = left_regular_assignment(3)
     gens = [asg[name] for name in sorted(asg)]
     n = gens[0].n
     e = enumerate_rook(3).index(PartialInjection.identity(3))
-    assert span_dimension(gens, n, {e: RF_ONE}) == rational_span_dimension(gens, n, {e: RF_ONE}) == 34
+    transposes = [g.transpose() for g in gens]
+    plain = _plain_span_dimension(RowSpan(), {e: RF_ONE}, transposes, linalg._rational_product, n)
+    assert span_dimension(gens, n, {e: RF_ONE}) == plain == 34
     assert span_dimension(gens, n, {e: (Q + 1).inv()}) == 34
+    assert span_dimension(gens, n, {e: RF_ONE, (e + 1) % n: RF_ZERO}) == 34
 
 
 def test_orbit_rule_needs_an_injective_vector():
@@ -523,4 +488,4 @@ def test_orbit_rule_needs_an_injective_vector():
     plain = RowSpan()
     _plain_saturate(plain, e1, [a.transpose(), b.transpose()], linalg._rational_product, 3)
     assert len(plain) == 3
-    assert span_dimension([a, b], 3, e1) == rational_span_dimension([a, b], 3, e1) == 2
+    assert span_dimension([a, b], 3, e1) == 2

@@ -7,7 +7,7 @@ from qrook.presentations import (
     tower_x_matrices,
     verify,
 )
-from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, as_ratfunc, specialize
+from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, as_ratfunc
 from qrook.tensor import (
     GradedBasis,
     braiding_commutes_with_coproduct,
