@@ -9,6 +9,7 @@ the exit code is 0 exactly when every requested check passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -72,9 +73,15 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _emit(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte,
     for the types the commands emit: dicts with str keys, lists, str, int,
-    bool and None; anything else raises TypeError.  A list of strings,
-    such as a matrix row, is encoded by one join.  tests/test_cli.py pins
-    the equality with json.dumps."""
+    bool and None; anything else raises TypeError.  tests/test_cli.py pins
+    the equality with json.dumps.
+
+    A list of strings, such as a matrix row, costs one escape check and
+    one join: its items are joined into one string, and when encoding that
+    string only adds the two quotes, no item needs escaping and the row is
+    written between quotes as it stands.  Otherwise each item is encoded.
+    The argparse parser that main() reads the command line with is built
+    once per process (build_parser)."""
     out = []
     _write(payload, "\n", out)
     return "".join(out)
@@ -98,9 +105,19 @@ def _write(x, pad: str, out: list):
             out.append("[]")
             return
         inner = pad + "  "
-        if set(map(type, x)) == {str}:
-            out += ("[", inner, ("," + inner).join(map(_encode_str, x)), pad, "]")
-            return
+        # type(x[0]) first, so a list of numbers, lists or dicts raises no
+        # TypeError in the join; escaping only ever lengthens a string
+        if type(x[0]) is str:
+            try:
+                flat = "".join(x)
+            except TypeError:
+                pass
+            else:
+                if len(_encode_str(flat)) == len(flat) + 2:
+                    out += ("[", inner, '"', ('",' + inner + '"').join(x), '"', pad, "]")
+                else:
+                    out += ("[", inner, ("," + inner).join(map(_encode_str, x)), pad, "]")
+                return
         sep = "[" + inner
         for v in x:
             out.append(sep)
@@ -279,7 +296,12 @@ def cmd_semisimple(args) -> tuple:
     return _emit(payload), 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qrook argument parser, built once per process: main() reuses it
+    on every call.  Each subcommand's parser holds, as its ``func``
+    default, the cmd_* function it was built with, so a cmd_* rebound
+    after the first call is not seen."""
     top = argparse.ArgumentParser(prog="qrook")
     sub = top.add_subparsers(dest="command", required=True)
 

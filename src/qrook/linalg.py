@@ -236,10 +236,13 @@ class Mat:
         return out
 
 
-def hecke_inverse(t: Mat, qval: RatFunc, qinv: RatFunc) -> Mat:
-    """Inverse of a matrix satisfying T^2 = (q - q^-1) T + 1."""
+def hecke_inverse(t: Mat, qval: RatFunc, qinv: RatFunc, check: bool = True) -> Mat:
+    """Inverse of a matrix satisfying T^2 = (q - q^-1) T + 1, which is
+    T - (q - q^-1).  With check, the product T T^-1 is formed and
+    NotInvertible raised unless it is 1; a caller that checks the
+    quadratic relation itself passes check=False."""
     inv = t.add_scalar(-(qval - qinv))
-    if (t @ inv) != Mat.identity(t.n):
+    if check and (t @ inv) != Mat.identity(t.n):
         raise NotInvertible("matrix does not satisfy the quadratic relation")
     return inv
 

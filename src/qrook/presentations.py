@@ -91,9 +91,9 @@ class Relation:
     rhs: LinComb
 
 
-def _quadratic(i: int) -> Relation:
-    t = f"T{i}"
-    return Relation(f"A1:T{i}", lc((1, (t, t))), lc((QDIFF, (t,)), (1, ())))
+def _quadratic(t: str) -> Relation:
+    """The quadratic relation of the generator t: t t = (q - q^-1) t + 1."""
+    return Relation(f"A1:{t}", lc((1, (t, t))), lc((QDIFF, (t,)), (1, ())))
 
 
 def _braid(i: int) -> Relation:
@@ -111,7 +111,7 @@ def _distant(i: int, j: int) -> Relation:
 
 
 def _braid_suite(k: int):
-    rels = [_quadratic(i) for i in range(1, k)]
+    rels = [_quadratic(f"T{i}") for i in range(1, k)]
     rels += [_braid(i) for i in range(1, k - 1)]
     rels += [
         _distant(i, j)
@@ -253,7 +253,7 @@ def relations_A_algebra(k: int, u1, u2):
         _distant(i, j) for i in range(1, k) for j in range(i + 2, k)
     ]
     rels += [_braid(i) for i in range(1, k - 1)]
-    rels += [_quadratic(i) for i in range(1, k)]
+    rels += [_quadratic(f"T{i}") for i in range(1, k)]
     rels.append(_x1_t1_braid("Aalg4"))
     rels.append(Relation("Aalg5:quadraticX1", _x1_polynomial([u1, u2]), {}))
     rels.append(Relation("Aalg6", ideal_generator_p(u1, u2), {}))
@@ -368,8 +368,10 @@ def _with_inverses(assignment: dict, relations, q0=None) -> dict:
     """Adjoin matrices for inverse symbols appearing in the relations.
 
     Inverses are computed via the quadratic relation rather than general
-    matrix inversion; a generator whose matrix does not satisfy it raises
-    NotInvertible.
+    matrix inversion.  When the relations hold the generator's quadratic
+    relation, verify checks it, so the inverse is not proved here: a
+    generator that breaks it fails that relation.  Otherwise a generator
+    whose matrix does not satisfy it raises NotInvertible.
     """
     qval = Q if q0 is None else RatFunc.from_fraction(Fraction(q0))
     qinv = qval.inv()
@@ -382,7 +384,8 @@ def _with_inverses(assignment: dict, relations, q0=None) -> dict:
                         base = letter[:-3]
                         if base not in out:
                             raise InvalidArgument(f"missing generator {base}")
-                        out[letter] = hecke_inverse(out[base], qval, qinv)
+                        checked = _quadratic(base) in relations
+                        out[letter] = hecke_inverse(out[base], qval, qinv, check=not checked)
     return out
 
 

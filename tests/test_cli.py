@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from qrook import cli, forked, tensor
 from qrook.cli import _emit, _join_signed_values, main, parse_q, parse_u_list
 from qrook.errors import DegenerateContent, InvalidArgument, PoleAtPoint
 from qrook.qfield import Q, as_ratfunc
-from qrook.shapes import index_set_A
+from qrook.seminormal import cyclotomic_module
+from qrook.shapes import index_set_A, parse_multipartition
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -193,8 +195,45 @@ _JSON = st.recursive(
 @example({"a": [], "b": {}, "c": [[]], "d": [{}]})
 @example(["0", "q", "(1)/(q)"])
 @example([["0"], ["1", "-1"], [], [0, "x"]])
+@example(["0", 'a"b'])
+@example(["\u00e9", "0"])
+@example([" "])
+@example(["0", 1])
+@example([["0"], [1]])
+@example([{}, "x"])
 def test_emit_equals_json_dumps(payload):
     assert _emit(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emit_counts(x, counts):
+    """Add to counts the rows (non-empty lists of str), their entries, the
+    dict keys and the other strings of the payload x."""
+    if isinstance(x, dict):
+        counts["keys"] += len(x)
+        for v in x.values():
+            _emit_counts(v, counts)
+    elif isinstance(x, list) and x and all(type(v) is str for v in x):
+        counts["rows"] += 1
+        counts["entries"] += len(x)
+    elif isinstance(x, list):
+        for v in x:
+            _emit_counts(v, counts)
+    elif isinstance(x, str):
+        counts["strings"] += 1
+    return counts
+
+
+def test_emit_encodes_a_string_row_once(monkeypatch):
+    # a matrix row whose entries need no escaping costs one _encode_str
+    # call, the escape check of the joined row, not one call per entry
+    payload = cyclotomic_module(parse_multipartition("[[1],[3,2,1]]"), parse_u_list("0,1")).to_json()
+    calls = []
+    encode = cli._encode_str
+    monkeypatch.setattr(cli, "_encode_str", lambda s: calls.append(s) or encode(s))
+    assert _emit(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    counts = _emit_counts(payload, Counter())
+    assert counts["entries"] > 150_000
+    assert len(calls) == counts["rows"] + counts["keys"] + counts["strings"]
 
 
 @pytest.mark.parametrize("payload", [1.5, (1, 2), {1: "a"}, {"a": [0.5]}, [b"x"], {"a": {None: 1}}])
@@ -374,6 +413,54 @@ def test_verify_aalg_specialised_passes(capsys):
     code, out = run(capsys, "verify", "--family", "aAlg", "--k", "3", "--q", "2")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def _main_in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) in this process, an
+    argparse rejection included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _main_alone(argv):
+    """(exit code, stdout, stderr) of argv run by a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrook.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        [
+            ["verify", "--family", "aAlg", "--k", "3", "--u", "1,3", "--q", "1/2"],
+            ["verify", "--family", "aAlg", "--k", "3", "--u", "1,3"],
+        ],
+        [["dims", "--rook", "1_1"], ["dims", "--rook", "3"]],
+        [
+            ["schurweyl", "--m", "1,1", "--k", "2", "--u", "0,1", "--q", "1"],
+            ["schurweyl", "--m", "1,1", "--k", "2", "--u", "0,1"],
+        ],
+    ],
+    ids=["q-then-symbolic", "exit-2-then-good", "argparse-exit-then-good"],
+)
+def test_reused_parser_leaks_no_state(monkeypatch, capsys, sequence):
+    # main() reuses one parser per process; each call in the sequence
+    # must give what it gives run alone.  COLUMNS fixes the width that
+    # argparse wraps its usage message to, here and in the child.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+    in_one_process = [_main_in_process(capsys, argv) for argv in sequence]
+    assert in_one_process == [_main_alone(argv) for argv in sequence]
+    assert in_one_process[-1][0] == 0
 
 
 def test_closed_stdout_is_not_a_traceback():

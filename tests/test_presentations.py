@@ -163,8 +163,7 @@ def test_negative_control_corrupted_matrix_fails():
 def _negative_control(family):
     """The suite the CLI builds for family at k = 3, a module it passes on,
     and the same module with one entry of one generator changed (X1 gets
-    the eigenvalue 2, outside u = (0, 1); T1 is left alone because the
-    rook suite inverts it)."""
+    the eigenvalue 2, outside u = (0, 1))."""
     k = 3
     rels = SUITES[family](k, U01)
     good = cyclotomic_module(((1,), (2,)), U01).matrices
@@ -258,6 +257,23 @@ def test_hecke_inverse_guard():
     p = Mat.diagonal([RF_ONE, as_ratfunc(0)])
     with pytest.raises(NotInvertible):
         hecke_inverse(p, Q, QINV)
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q0=2"])
+def test_rook_inverse_rests_on_the_quadratic_relation(q0):
+    # the rook suite holds A1:T1, which verify checks, so T1^-1 is taken
+    # from the quadratic relation unproved: a T1 scaled by 2 fails A1:T1
+    # instead of raising NotInvertible
+    k = 3
+    asg = projector_matrices(cyclotomic_module(((1,), (2,)), U01).matrices, k)
+    asg["T1"] = asg["T1"].scale(as_ratfunc(2))
+    report = verify(asg, relations_rook(k), q0=q0)
+    assert not report.passed
+    assert not next(r for r in report.results if r.name == "A1:T1").ok
+    # a suite without A1:T1 still proves the inverse it uses
+    rels = [r for r in relations_rook(k) if r.name != "A1:T1"]
+    with pytest.raises(NotInvertible):
+        verify(asg, rels, q0=q0)
 
 
 def test_algebra_dimensions():
