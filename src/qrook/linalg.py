@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotInvertible
-from .qfield import _PRODUCTS, _SUMS, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
+from .qfield import _PRODUCTS, _SUMS, Q, QINV, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 
 
 class Mat:
@@ -236,13 +236,12 @@ class Mat:
         return out
 
 
-def hecke_inverse(t: Mat, qval: RatFunc, qinv: RatFunc, check: bool = True) -> Mat:
+def hecke_inverse(t: Mat) -> Mat:
     """Inverse of a matrix satisfying T^2 = (q - q^-1) T + 1, which is
-    T - (q - q^-1).  With check, the product T T^-1 is formed and
-    NotInvertible raised unless it is 1; a caller that checks the
-    quadratic relation itself passes check=False."""
-    inv = t.add_scalar(-(qval - qinv))
-    if check and (t @ inv) != Mat.identity(t.n):
+    T - (q - q^-1).  The product T T^-1 is formed, and NotInvertible
+    raised unless it is 1."""
+    inv = t.add_scalar(QINV - Q)
+    if (t @ inv) != Mat.identity(t.n):
         raise NotInvertible("matrix does not satisfy the quadratic relation")
     return inv
 

@@ -1,9 +1,9 @@
 """Presentations as data: relation suites, generator-change maps, a
 matrix verifier, and a word-span dimension oracle.
 
-A word is a tuple of generator names (``"T1"``, ``"X1"``, ``"P2"``,
-inverse symbols like ``"T1^-1"``); a linear combination maps words to
-coefficients in Q(q).  A relation asserts lhs = rhs.
+A word is a tuple of generator names (``"T1"``, ``"X1"``, ``"P2"``); a
+linear combination maps words to coefficients in Q(q).  A relation
+asserts lhs = rhs.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidArgument
-from .linalg import Mat, hecke_inverse, span_dimension
+from .linalg import Mat, span_dimension
 from .qfield import (
     Q,
     QINV,
     RF_ONE,
     RF_ZERO,
-    RatFunc,
     as_ratfunc,
     quantum_factorial,
 )
@@ -122,7 +121,12 @@ def _braid_suite(k: int):
 
 
 def relations_rook(k: int):
-    """The P/T presentation of the deformed rook monoid algebra."""
+    """The P/T presentation of the deformed rook monoid algebra.
+
+    R5 is P_{i+1} = q P_i T_i^-1 P_i, written in the generators as
+    q P_i (T_i - (q - q^-1)) P_i: the suite holds A1:T_i, by which
+    T_i - (q - q^-1) is the inverse of T_i.  P_i P_i is left as it is,
+    not reduced to P_i by R1, so a P_i that breaks R1 also shows in R5."""
     if k < 1:
         raise InvalidArgument("k must be >= 1")
     rels = _braid_suite(k)
@@ -152,12 +156,9 @@ def relations_rook(k: int):
                 )
             )
     for i in range(1, k):
+        p, t_inv = lc_gen(f"P{i}"), lc((1, (f"T{i}",)), (-QDIFF, ()))
         rels.append(
-            Relation(
-                f"R5:P{i + 1}",
-                lc((1, (f"P{i + 1}",))),
-                lc((Q, (f"P{i}", f"T{i}^-1", f"P{i}"))),
-            )
+            Relation(f"R5:P{i + 1}", lc_gen(f"P{i + 1}"), lc_scale(lc_prod([p, t_inv, p]), Q))
         )
     return rels
 
@@ -364,31 +365,6 @@ def lincomb_specialize(comb: LinComb, q0) -> LinComb:
     return {w: c.at(q0) for w, c in comb.items()}
 
 
-def _with_inverses(assignment: dict, relations, q0=None) -> dict:
-    """Adjoin matrices for inverse symbols appearing in the relations.
-
-    Inverses are computed via the quadratic relation rather than general
-    matrix inversion.  When the relations hold the generator's quadratic
-    relation, verify checks it, so the inverse is not proved here: a
-    generator that breaks it fails that relation.  Otherwise a generator
-    whose matrix does not satisfy it raises NotInvertible.
-    """
-    qval = Q if q0 is None else RatFunc.from_fraction(Fraction(q0))
-    qinv = qval.inv()
-    out = dict(assignment)
-    for rel in relations:
-        for comb in (rel.lhs, rel.rhs):
-            for word in comb:
-                for letter in word:
-                    if letter.endswith("^-1") and letter not in out:
-                        base = letter[:-3]
-                        if base not in out:
-                            raise InvalidArgument(f"missing generator {base}")
-                        checked = _quadratic(base) in relations
-                        out[letter] = hecke_inverse(out[base], qval, qinv, check=not checked)
-    return out
-
-
 def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:
     """The n x n matrix of comb, each word the product of the assigned
     matrices of its letters (the empty word the identity).
@@ -423,8 +399,19 @@ def _cancel_shared(lhs: LinComb, rhs: LinComb):
     )
 
 
+def _nonzero_q(q0) -> Fraction:
+    """q0 as a Fraction; InvalidArgument at q0 = 0, where q^-1 has no value."""
+    q0 = Fraction(q0)
+    if q0 == 0:
+        raise InvalidArgument("q must be nonzero")
+    return q0
+
+
 def verify(assignment: dict, relations, q0=None) -> Report:
     """Evaluate every relation; PASS iff its two sides are equal matrices.
+
+    Each relation is checked as written, against the assignment as given:
+    a letter with no matrix raises InvalidArgument (eval_lincomb).
 
     Each side is evaluated on its own by eval_lincomb, and the relation
     holds iff the two matrices are equal (Mat.__eq__).  That is exactly
@@ -441,20 +428,20 @@ def verify(assignment: dict, relations, q0=None) -> Report:
     would.  lhs - rhs is unchanged.
 
     At q0, the matrices and both sides' coefficients are specialised
-    first, so the check is exact at q = q0."""
+    first, so the check is exact at q = q0; q0 = 0 raises
+    InvalidArgument before anything is specialised."""
     if not assignment:
         raise InvalidArgument("empty assignment")
     n = next(iter(assignment.values())).n
     if q0 is not None:
-        q0 = Fraction(q0)
+        q0 = _nonzero_q(q0)
         assignment = {name: m.specialize(q0) for name, m in assignment.items()}
-    full = _with_inverses(assignment, relations, q0=q0)
     results = []
     for rel in relations:
         lhs, rhs = _cancel_shared(rel.lhs, rel.rhs)
         if q0 is not None:
             lhs, rhs = lincomb_specialize(lhs, q0), lincomb_specialize(rhs, q0)
-        a, b = eval_lincomb(lhs, full, n), eval_lincomb(rhs, full, n)
+        a, b = eval_lincomb(lhs, assignment, n), eval_lincomb(rhs, assignment, n)
         ok = a == b
         results.append(RelationResult(rel.name, ok, "0" if ok else (a - b).first_entry_string()))
     return Report(results)
@@ -520,10 +507,7 @@ def semisimple_rook(k: int, q0=None) -> bool:
         raise InvalidArgument("k must be >= 1")
     if q0 is None:
         return True
-    q0 = Fraction(q0)
-    if q0 == 0:
-        raise InvalidArgument("q must be nonzero")
-    return quantum_factorial(k).specialize(q0) != 0
+    return quantum_factorial(k).specialize(_nonzero_q(q0)) != 0
 
 
 def indecomposable_witness(k: int, u1) -> dict:

@@ -18,6 +18,7 @@ from .shapes import (
     box_key,
     content,
     enumerate_standard_tableaux,
+    index_set_H,
     is_multipartition,
     remove_box,
     shape_to_json,
@@ -124,8 +125,8 @@ def shifted_skew_module(k: int, d: int, u1) -> Representation:
 def restrict(rep: Representation):
     """Partition the basis by the shape left after deleting the entry k.
 
-    Returns ``[(smaller_shape, indices), ...]`` with blocks ordered by the
-    canonical order of the smaller shapes and indices ordered so the
+    Returns ``[(smaller_shape, indices), ...]`` with blocks in the order
+    ``index_set_H(k - 1, r)`` lists the smaller shapes and indices so the
     truncated tableaux appear in canonical order.  On each block the
     submatrices of X1..X(k-1), T1..T(k-2) equal the seminormal module of
     the smaller shape.
@@ -141,14 +142,9 @@ def restrict(rep: Representation):
         truncated = t.boxes[:-1]
         blocks.setdefault(smaller, []).append((truncated, i))
     out = []
-    for smaller in sorted(blocks, key=_shape_sort_key):
+    for smaller in sorted(blocks, key=index_set_H(rep.k - 1, len(rep.shape)).index):
         entries = blocks[smaller]
         entries.sort(key=lambda e: tuple(map(box_key, e[0])))
         out.append((smaller, tuple(i for _, i in entries)))
     return out
 
-
-def _shape_sort_key(mp):
-    """Matches the deterministic order of the index sets: component
-    sizes descending, then parts in reverse-lex order."""
-    return tuple((-sum(p), tuple(-x for x in p)) for p in mp)

@@ -86,7 +86,7 @@ def rmatrix(n: int) -> Mat:
 
 
 def rmatrix_inv(n: int) -> Mat:
-    return hecke_inverse(rmatrix(n), Q, QINV)
+    return hecke_inverse(rmatrix(n))
 
 
 def smatrix(basis: GradedBasis) -> Mat:

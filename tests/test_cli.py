@@ -314,7 +314,7 @@ def test_readme_command_line_examples_run(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--family", "rook", "--k", "3", "--q", "0"],  # DivisionByZero
+        ["verify", "--family", "rook", "--k", "3", "--q", "0"],  # q = 0
         ["semisimple", "--family", "cyclo", "--k", "2"],  # missing --u
         ["tableaux", "--multi", "[[2],[1]"],  # malformed JSON
         ["verify", "--family", "cyclo", "--k", "2", "--u", "1,1"],  # DegenerateContent
@@ -340,6 +340,28 @@ def test_bad_input_exits_2_with_one_line_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# q = 0 is refused by one rule before anything is specialised, also at
+# k = 1, where the rook and cyclo suites hold no q^-1 and would pass
+Q_ZERO = [
+    ["verify", "--family", "rook", "--k", "1", "--q", "0"],
+    ["verify", "--family", "cyclo", "--k", "1", "--u", "2,3", "--q", "0"],
+    ["verify", "--family", "rook", "--k", "3", "--q", "0"],
+    ["verify", "--family", "cyclo", "--k", "3", "--u", "2,3", "--q", "0"],
+    ["verify", "--family", "Ak", "--k", "3", "--q", "0"],
+    ["verify", "--family", "aAlg", "--k", "3", "--u", "1,4", "--q", "0"],
+    ["verify", "--family", "Bprime", "--k", "3", "--q", "0"],
+    ["semisimple", "--family", "rook", "--k", "1", "--q", "0"],
+    ["semisimple", "--family", "cyclo", "--k", "2", "--u", "2,3", "--q", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", Q_ZERO, ids=" ".join)
+def test_q_zero_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: q must be nonzero\n")
 
 
 # each with the start of its error: a stray sign must not be dropped,

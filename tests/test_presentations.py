@@ -8,12 +8,12 @@ from qrook.errors import InvalidArgument, NotInvertible
 from qrook.linalg import Mat, hecke_inverse
 from qrook import presentations
 from qrook.presentations import (
+    Relation,
     algebra_dimension,
     apply_substitution,
     b4_factors,
     eval_lincomb,
     ideal_generator_p,
-    _with_inverses,
     indecomposable_witness,
     lc,
     lc_sub,
@@ -202,13 +202,12 @@ def _residual_oracle(assignment, rels, q0):
             name: Mat.from_dense([[_at(v, q0) for v in row] for row in m.to_dense()])
             for name, m in assignment.items()
         }
-    full = _with_inverses(assignment, rels, q0=q0)
     out = []
     for rel in rels:
         comb = lc_sub(rel.lhs, rel.rhs)
         if q0 is not None:
             comb = {w: _at(c, q0) for w, c in comb.items()}
-        r = eval_lincomb(comb, full, n)
+        r = eval_lincomb(comb, assignment, n)
         out.append((r.is_zero(), r.first_entry_string()))
     return out
 
@@ -256,24 +255,69 @@ def test_hecke_inverse_guard():
     # a projector does not satisfy the quadratic, so it has no Hecke inverse
     p = Mat.diagonal([RF_ONE, as_ratfunc(0)])
     with pytest.raises(NotInvertible):
-        hecke_inverse(p, Q, QINV)
+        hecke_inverse(p)
 
 
 @pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q0=2"])
 def test_rook_inverse_rests_on_the_quadratic_relation(q0):
-    # the rook suite holds A1:T1, which verify checks, so T1^-1 is taken
-    # from the quadratic relation unproved: a T1 scaled by 2 fails A1:T1
-    # instead of raising NotInvertible
+    # R5 writes T1^-1 as T1 - (q - q^-1), which the suite's own A1:T1
+    # makes the inverse: a T1 scaled by 2 fails A1:T1
     k = 3
     asg = projector_matrices(cyclotomic_module(((1,), (2,)), U01).matrices, k)
     asg["T1"] = asg["T1"].scale(as_ratfunc(2))
     report = verify(asg, relations_rook(k), q0=q0)
     assert not report.passed
     assert not next(r for r in report.results if r.name == "A1:T1").ok
-    # a suite without A1:T1 still proves the inverse it uses
-    rels = [r for r in relations_rook(k) if r.name != "A1:T1"]
-    with pytest.raises(NotInvertible):
-        verify(asg, rels, q0=q0)
+
+
+@pytest.mark.parametrize("family", sorted(SUITES))
+def test_suites_are_written_in_the_assigned_generators(family):
+    # every letter of every relation is a generator the module assigns,
+    # so verify checks each suite as written; a letter it does not
+    # assign, such as an inverse symbol, is refused
+    rels, good, _ = _negative_control(family)
+    letters = {x for rel in rels for side in (rel.lhs, rel.rhs) for word in side for x in word}
+    assert letters <= set(good)
+    with pytest.raises(InvalidArgument, match="missing generator T1\\^-1"):
+        verify(good, [Relation("inverse", lc((1, ("T1", "T1^-1"))), lc((1, ())))])
+
+
+def _r5_oracle(asg, k, q0):
+    """(passed, witness) of each R5:P(i+1), from the residual
+    P(i+1) - q P(i) T(i)^-1 P(i) with T(i)^-1 built as T(i) - (q - q^-1),
+    specialised at q0 only once it is formed."""
+    out = []
+    for i in range(1, k):
+        p, t_inv = asg[f"P{i}"], asg[f"T{i}"].add_scalar(QINV - Q)
+        r = asg[f"P{i + 1}"] - (p @ t_inv @ p).scale(Q)
+        if q0 is not None:
+            r = r.specialize(q0)
+        out.append((r.is_zero(), r.first_entry_string()))
+    return out
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q0=2"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_r5_equals_the_inverse_form(k, q0):
+    # R5 written in the generators gives every verdict and witness of
+    # P(i+1) = q P(i) T(i)^-1 P(i), on the modules and with one entry of a
+    # P(i) changed so that it breaks R1 (P(i) P(i) = P(i)): reducing R5's
+    # P(i) P(i) to P(i) would change those witnesses
+    r5 = [r for r in relations_rook(k) if r.name.startswith("R5:")]
+    failed = 0
+    for shape in index_set_A(k):
+        good = projector_matrices(cyclotomic_module(shape, U01).matrices, k)
+        cases = [good]
+        for i in range(1, k):
+            bad = dict(good)
+            bad[f"P{i}"] = good[f"P{i}"].copy()
+            bad[f"P{i}"].set(0, 0, good[f"P{i}"].get(0, 0) + as_ratfunc(2))
+            cases.append(bad)
+        for asg in cases:
+            got = [(r.ok, r.residual) for r in verify(asg, r5, q0=q0).results]
+            assert got == _r5_oracle(asg, k, q0)
+            failed += not all(ok for ok, _ in got)
+    assert failed
 
 
 def test_algebra_dimensions():
