@@ -361,8 +361,12 @@ class Report:
 
 
 def lincomb_specialize(comb: LinComb, q0) -> LinComb:
+    """comb with each coefficient specialised at q0; a word whose
+    coefficient is 0 there is dropped, so no matrix product is formed
+    only to be scaled by 0."""
     q0 = Fraction(q0)
-    return {w: c.at(q0) for w, c in comb.items()}
+    values = {w: c.at(q0) for w, c in comb.items()}
+    return {w: c for w, c in values.items() if not c.is_zero()}
 
 
 def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:

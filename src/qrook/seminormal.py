@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 from .errors import DegenerateContent, InvalidArgument
 from .linalg import Mat
-from .qfield import Q, QINV, as_ratfunc
+from .qfield import Q, QINV, RF_ONE, as_ratfunc
 from .shapes import (
     SkewShape,
-    box_key,
     content,
     enumerate_standard_tableaux,
     index_set_H,
     is_multipartition,
     remove_box,
+    shape_boxes,
     shape_to_json,
 )
 
@@ -45,17 +45,18 @@ class Representation:
         }
 
 
-def _build_module(shape, k: int, ct) -> Representation:
-    """Common seminormal construction from a content function box -> RatFunc,
-    evaluated once per box."""
+def _build_module(shape, k: int, scale: dict) -> Representation:
+    """Common seminormal construction.  ``scale`` maps each component of
+    the shape (``shapes._components``) to its factor, and a box's eigenvalue
+    is that factor times ``content(box)``, computed once per box."""
+    if len(shape_boxes(shape)) != k:
+        raise InvalidArgument("shape size does not match k")
     basis = tuple(enumerate_standard_tableaux(shape))
     if not basis:
         raise InvalidArgument(f"shape {shape!r} has no standard tableaux")
-    if basis[0].size() != k:
-        raise InvalidArgument("shape size does not match k")
     index = {t.boxes: i for i, t in enumerate(basis)}
     d = len(basis)
-    contents = {box: ct(box) for box in basis[0].boxes}
+    contents = {box: scale[box[0]] * content(box) for box in basis[0].boxes}
     matrices = {}
     for i in range(1, k + 1):
         matrices[f"X{i}"] = Mat.diagonal([contents[t.box_of(i)] for t in basis])
@@ -91,9 +92,7 @@ def _build_module(shape, k: int, ct) -> Representation:
 
 def calibrated_skew_module(shape: SkewShape, k: int) -> Representation:
     """Seminormal module of a skew shape with contents q^(2(c-r))."""
-    if shape.size() != k:
-        raise InvalidArgument("skew shape must have k boxes")
-    return _build_module(shape, k, lambda b: content(b))
+    return _build_module(shape, k, {None: RF_ONE})
 
 
 def cyclotomic_module(shape, u) -> Representation:
@@ -104,7 +103,7 @@ def cyclotomic_module(shape, u) -> Representation:
     if len(u) != len(shape):
         raise InvalidArgument("need one u parameter per component")
     k = sum(sum(p) for p in shape)
-    return _build_module(shape, k, lambda b: content(b, u=u))
+    return _build_module(shape, k, dict(enumerate(u, start=1)))
 
 
 def shifted_skew_module(k: int, d: int, u1) -> Representation:
@@ -118,33 +117,25 @@ def shifted_skew_module(k: int, d: int, u1) -> Representation:
         raise InvalidArgument("u1 must be nonzero")
     inner = (d - 1,) if d > 1 else ()
     shape = SkewShape((k - 1, d), inner)
-    shift = u1 * Q * Q
-    return _build_module(shape, k, lambda b: content(b, shift=shift))
+    return _build_module(shape, k, {None: u1 * Q * Q})
 
 
 def restrict(rep: Representation):
-    """Partition the basis by the shape left after deleting the entry k.
+    """Partition the basis by the shape left after deleting the entry k;
+    a module whose shape is not a multipartition raises InvalidArgument.
 
     Returns ``[(smaller_shape, indices), ...]`` with blocks in the order
-    ``index_set_H(k - 1, r)`` lists the smaller shapes and indices so the
-    truncated tableaux appear in canonical order.  On each block the
-    submatrices of X1..X(k-1), T1..T(k-2) equal the seminormal module of
-    the smaller shape.
+    ``index_set_H(k - 1, r)`` lists the smaller shapes; the indices keep
+    the basis's canonical order, so the truncated tableaux are in canonical
+    order too.  On each block the submatrices of X1..X(k-1), T1..T(k-2)
+    equal the seminormal module of the smaller shape.
     """
     if rep.k < 1:
         raise InvalidArgument("restriction needs k >= 1")
+    if not is_multipartition(rep.shape):
+        raise InvalidArgument("restrict is defined for multipartition modules")
     blocks: dict = {}
     for i, t in enumerate(rep.basis):
-        last = t.box_of(rep.k)
-        smaller = remove_box(rep.shape, last) if is_multipartition(rep.shape) else None
-        if smaller is None:
-            raise InvalidArgument("restrict is defined for multipartition modules")
-        truncated = t.boxes[:-1]
-        blocks.setdefault(smaller, []).append((truncated, i))
-    out = []
-    for smaller in sorted(blocks, key=index_set_H(rep.k - 1, len(rep.shape)).index):
-        entries = blocks[smaller]
-        entries.sort(key=lambda e: tuple(map(box_key, e[0])))
-        out.append((smaller, tuple(i for _, i in entries)))
-    return out
-
+        blocks.setdefault(remove_box(rep.shape, t.box_of(rep.k)), []).append(i)
+    order = index_set_H(rep.k - 1, len(rep.shape)).index
+    return [(smaller, tuple(blocks[smaller])) for smaller in sorted(blocks, key=order)]

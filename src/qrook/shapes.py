@@ -1,11 +1,14 @@
 """Partitions, skew shapes, multipartitions, standard tableaux, and
 branching graphs.
 
-A partition is a tuple of weakly decreasing positive ints; a box is a
-triple ``(component, row, col)`` with 1-based row/col and ``component``
-``None`` for plain and skew shapes.  Tableaux are stored as the sequence
-of boxes holding 1, 2, ..., k; comparing those sequences lexicographically
-is the canonical tableau order used to index matrix rows everywhere.
+A partition is a tuple of weakly decreasing positive ints.  Every shape
+is read one way, as skew components ``(component, outer, inner)``: one with
+``component`` None for a partition or a skew shape, and one per part
+1..r of an r-multipartition; boxes, corners and tableau counts come from
+them alone.  A box is a triple ``(component, row, col)`` with 1-based
+row/col.  Tableaux are stored as the sequence of boxes holding 1, 2, ...,
+k; comparing those sequences lexicographically is the canonical tableau
+order used to index matrix rows everywhere.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, perm, prod
+from itertools import zip_longest
+from math import comb, factorial, perm, prod
 
 from .errors import InvalidArgument
-from .qfield import RatFunc, as_ratfunc
+from .qfield import RatFunc
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 Box = tuple  # (component | None, row, col)
@@ -36,17 +40,6 @@ class SkewShape:
         ):
             raise InvalidArgument("inner shape must fit inside the outer shape")
 
-    def size(self):
-        return sum(self.outer) - sum(self.inner)
-
-    def boxes(self):
-        inner = self.inner + (0,) * len(self.outer)
-        return [
-            (None, r + 1, c + 1)
-            for r, row in enumerate(self.outer)
-            for c in range(inner[r], row)
-        ]
-
 
 def check_partition(p):
     if any(type(x) is not int or x <= 0 for x in p) or any(
@@ -55,25 +48,24 @@ def check_partition(p):
         raise InvalidArgument(f"not a partition: {p}")
 
 
-def partition_boxes(p, component=None):
-    return [
-        (component, r + 1, c + 1) for r, row in enumerate(p) for c in range(row)
-    ]
-
-
-def multipartition_boxes(mp):
-    out = []
-    for i, p in enumerate(mp):
-        out.extend(partition_boxes(p, component=i + 1))
-    return out
+def _components(shape):
+    """The skew components of a shape; the one place that tells the three
+    kinds of shape apart."""
+    if isinstance(shape, SkewShape):
+        return [(None, shape.outer, shape.inner)]
+    if is_multipartition(shape):
+        return [(i, tuple(p), ()) for i, p in enumerate(shape, start=1)]
+    return [(None, tuple(shape), ())]
 
 
 def shape_boxes(shape):
-    if isinstance(shape, SkewShape):
-        return shape.boxes()
-    if shape and isinstance(shape[0], tuple):
-        return multipartition_boxes(shape)
-    return partition_boxes(shape)
+    """The boxes of a shape: components, then rows, then columns in order."""
+    return [
+        (comp, r, c)
+        for comp, outer, inner in _components(shape)
+        for r, (row, start) in enumerate(zip_longest(outer, inner, fillvalue=0), start=1)
+        for c in range(start + 1, row + 1)
+    ]
 
 
 def is_multipartition(shape) -> bool:
@@ -98,57 +90,39 @@ def _partitions_rec(k, maxpart):
     return tuple(out)
 
 
+def _partition_components(shape, what):
+    if isinstance(shape, SkewShape):
+        raise InvalidArgument(f"{what} are defined for (multi)partitions")
+    return _components(shape)
+
+
 def addable_boxes(shape):
     """Positions whose addition leaves a valid (multi)partition."""
-    if isinstance(shape, SkewShape):
-        raise InvalidArgument("addable boxes are defined for (multi)partitions")
-    if is_multipartition(shape):
-        out = []
-        for i, p in enumerate(shape):
-            out.extend(_addable_plain(p, i + 1))
-        return out
-    return _addable_plain(shape, None)
-
-
-def _addable_plain(p, component):
-    out = []
-    for r in range(len(p)):
-        if r == 0 or p[r] < p[r - 1]:
-            out.append((component, r + 1, p[r] + 1))
-    out.append((component, len(p) + 1, 1))
-    return out
+    return [
+        (comp, r + 1, c + 1)
+        for comp, p, _ in _partition_components(shape, "addable boxes")
+        for r, c in enumerate(p + (0,))
+        if r == 0 or c < p[r - 1]
+    ]
 
 
 def removable_boxes(shape):
-    if isinstance(shape, SkewShape):
-        raise InvalidArgument("removable boxes are defined for (multi)partitions")
-    if is_multipartition(shape):
-        out = []
-        for i, p in enumerate(shape):
-            out.extend(_removable_plain(p, i + 1))
-        return out
-    return _removable_plain(shape, None)
-
-
-def _removable_plain(p, component):
-    out = []
-    for r in range(len(p)):
-        if r == len(p) - 1 or p[r] > p[r + 1]:
-            out.append((component, r + 1, p[r]))
-    return out
+    return [
+        (comp, r + 1, c)
+        for comp, p, _ in _partition_components(shape, "removable boxes")
+        for r, (c, below) in enumerate(zip(p, p[1:] + (0,)))
+        if c > below
+    ]
 
 
 def remove_box(shape, box):
     """The (multi)partition obtained by removing a removable box."""
     comp, r, _ = box
-    if is_multipartition(shape):
-        p = list(shape[comp - 1])
-        p[r - 1] -= 1
-        newp = tuple(x for x in p if x)
-        return shape[: comp - 1] + (newp,) + shape[comp:]
-    p = list(shape)
-    p[r - 1] -= 1
-    return tuple(x for x in p if x)
+    parts = [
+        tuple(x for x in p[: r - 1] + (p[r - 1] - 1,) + p[r:] if x) if i == comp else p
+        for i, p, _ in _partition_components(shape, "removed boxes")
+    ]
+    return parts[0] if comp is None else tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -157,9 +131,6 @@ class StandardTableau:
 
     shape: object
     boxes: tuple  # boxes[i] holds entry i+1
-
-    def size(self):
-        return len(self.boxes)
 
     def box_of(self, i: int):
         return self.boxes[i - 1]
@@ -194,59 +165,60 @@ def box_key(box):
 
 
 def enumerate_standard_tableaux(shape):
-    """All standard tableaux of a shape, in canonical (lex) order."""
-    region = sorted(shape_boxes(shape), key=box_key)
-    region_set = set(region)
-    out = []
-    filled = set()
-    seq = []
+    """All standard tableaux of a shape, in canonical (lex) order.
 
-    def rec():
-        if len(seq) == len(region):
-            out.append(StandardTableau(shape, tuple(seq)))
-            return
-        for box in region:
-            if box in filled:
-                continue
-            comp, r, c = box
-            left = (comp, r, c - 1)
-            up = (comp, r - 1, c)
-            if (left in region_set and left not in filled) or (
-                up in region_set and up not in filled
-            ):
-                continue
-            filled.add(box)
-            seq.append(box)
-            rec()
-            seq.pop()
-            filled.discard(box)
-
-    rec()
-    return out
+    A depth-first search on an explicit stack, so no shape is too large
+    for the recursion limit.  A partial filling is the next free column of
+    each row; the next entry can go in that box of any row whose box above
+    is filled.  That is at most one box per row, so trying the rows in
+    canonical order tries those boxes in box order."""
+    rows, nxt, n = [], [], 0  # each row's boxes by column, its next free column
+    for comp, outer, inner in _components(shape):
+        rows.append(())  # above each first row: a full row with no boxes
+        nxt.append(float("inf"))
+        for r, (row, start) in enumerate(zip_longest(outer, inner, fillvalue=0), start=1):
+            rows.append([(comp, r, c) for c in range(row + 1)])
+            nxt.append(start + 1)
+            n += row - start
+    ends, last = [len(row) for row in rows], len(rows)
+    out, boxes, chosen, j = [], [], [], 0  # chosen: the row of each box; j: the next row to try
+    while True:
+        while j < last and not (nxt[j] < ends[j] and nxt[j - 1] > nxt[j]):
+            j += 1
+        if j < last:
+            boxes.append(rows[j][nxt[j]])
+            chosen.append(j)
+            nxt[j] += 1
+            j = 0
+            continue
+        if len(boxes) == n:
+            out.append(StandardTableau(shape, tuple(boxes)))
+        if not boxes:
+            return out
+        boxes.pop()
+        j = chosen.pop()
+        nxt[j] -= 1
+        j += 1
 
 
 def count_standard_tableaux(shape) -> int:
     """Number of standard tableaux of a shape, from a closed form; no
     tableau is built.
 
-    A skew shape lambda/mu with n boxes has Aitken's determinant (1943)
-    f = n! * det[1 / (lambda_i - mu_j - i + j)!], i, j over the rows of
-    lambda and 1/m! = 0 for m < 0.  A partition is the case mu = (), where
-    the determinant equals the Frame-Robinson-Thrall hook-length formula.
-    A multipartition gets the multinomial C(n; |lambda^1|, ..., |lambda^r|)
-    times the product of its components' counts.  The tests check it
+    The multinomial n! / (n_1! ... n_r!), a product of binomials
+    C(n_1 + ... + n_i, n_i), times the product over the components
+    lambda^i/mu^i of the shape (``_components``), n_i boxes each, of
+    Aitken's determinant (1943) n_i! * det[1 / (lambda_a - mu_b - a + b)!],
+    a, b over the rows of lambda and 1/m! = 0 for m < 0; for mu = () it
+    equals the Frame-Robinson-Thrall hook-length formula.  A single
+    component is the case where the multinomial is 1.  The tests check it
     against ``len(enumerate_standard_tableaux(shape))``.
     """
-    if isinstance(shape, SkewShape):
-        return _aitken(tuple(shape.outer), tuple(shape.inner))
-    if not is_multipartition(shape):
-        return _aitken(tuple(shape), ())
-    sizes = [sum(p) for p in shape]
-    out = factorial(sum(sizes))
-    for m in sizes:
-        out //= factorial(m)
-    for p in shape:
-        out *= _aitken(tuple(p), ())
+    n, out = 0, 1
+    for _, outer, inner in _components(shape):
+        m = sum(outer) - sum(inner)
+        n += m
+        out *= comb(n, m) * _aitken(outer, inner)
     return out
 
 
@@ -276,21 +248,11 @@ def _aitken(outer: tuple, inner: tuple) -> int:
     return factorial(sum(outer) - sum(inner)) * det // prod(map(factorial, a))
 
 
-def content(box, u=None, shift: RatFunc | None = None) -> RatFunc:
-    """The eigenvalue q^(2(c-r)) of a box, scaled by the component
-    parameter u_i for multipartition boxes and by an optional extra
-    factor ``shift``."""
-    comp, r, c = box
-    val = RatFunc.q_power(2 * (c - r))
-    if comp is not None:
-        if u is None or len(u) < comp:
-            raise InvalidArgument(
-                f"box in component {comp} needs at least {comp} u-parameters"
-            )
-        val = as_ratfunc(u[comp - 1]) * val
-    if shift is not None:
-        val = as_ratfunc(shift) * val
-    return val
+def content(box) -> RatFunc:
+    """The eigenvalue q^(2(c-r)) of a box; seminormal scales it by the
+    factor of the box's component."""
+    _, r, c = box
+    return RatFunc.q_power(2 * (c - r))
 
 
 def index_set_H(k: int, r: int):
@@ -401,21 +363,33 @@ def graph_to_json(g: BratteliGraph):
     }
 
 
-def parse_multipartition(spec: str):
-    """Parse a multipartition spec such as "[[2],[1,1]]"."""
+def _json_list(text: str, spec: str, kind: str) -> list:
+    """text as a JSON list; anything else raises InvalidArgument naming spec."""
     try:
-        mp = tuple(tuple(p) for p in json.loads(spec))
-        for p in mp:
-            check_partition(p)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise InvalidArgument(f"bad multipartition {spec!r}") from exc
+        value = json.loads(text)
+    except (ValueError, RecursionError):  # malformed, nested too deep, or an int too long
+        value = None
+    if type(value) is not list:
+        raise InvalidArgument(f"bad {kind} {spec!r}")
+    return value
+
+
+def parse_multipartition(spec: str):
+    """Parse a multipartition spec such as "[[2],[1,1]]", a JSON list of
+    JSON lists."""
+    parts = _json_list(spec, spec, "multipartition")
+    if any(type(p) is not list for p in parts):
+        raise InvalidArgument(f"bad multipartition {spec!r}")
+    mp = tuple(map(tuple, parts))
+    for p in mp:
+        check_partition(p)
     return mp
 
 
 def parse_skew(spec: str) -> SkewShape:
-    """Parse a skew spec such as "[2,1]/[1]"."""
+    """Parse a skew spec such as "[2,1]/[1]", a JSON list on each side."""
     outer, slash, inner = spec.partition("/")
-    try:
-        return SkewShape(tuple(json.loads(outer)), tuple(json.loads(inner if slash else "[]")))
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise InvalidArgument(f"bad skew shape {spec!r}") from exc
+    return SkewShape(
+        tuple(_json_list(outer, spec, "skew shape")),
+        tuple(_json_list(inner if slash else "[]", spec, "skew shape")),
+    )

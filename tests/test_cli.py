@@ -63,6 +63,21 @@ def test_tableaux_empty(capsys):
     assert len(json.loads(out)) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,entries",
+    [
+        (["tableaux", "--multi", "[[1200]]"], 1200),
+        (["tableaux", "--skew", "[1200]/[1]"], 1199),
+    ],
+)
+def test_tableaux_of_a_long_row(capsys, argv, entries):
+    # more boxes than Python's recursion limit
+    code, out = run(capsys, *argv)
+    assert code == 0
+    (tableau,) = json.loads(out)
+    assert [e["entry"] for e in tableau["entries"]] == list(range(1, entries + 1))
+
+
 def test_verify_rook_symbolic(capsys):
     code, out = run(capsys, "verify", "--family", "rook", "--k", "3")
     assert code == 0
@@ -331,6 +346,13 @@ def test_readme_command_line_examples_run(capsys, argv):
         ["semisimple", "--family", "rook", "--k", "0"],
         ["dims", "--rook", "-1"],
         ["dims", "--rook", "0"],
+        ["tableaux", "--multi", "{}"],  # a JSON object is not a list
+        ["tableaux", "--multi", "[[1],{}]"],
+        ["tableaux", "--skew", "{}"],
+        ["tableaux", "--skew", "[2,1]/{}"],
+        ["rep", "--multi", "[[1],{}]", "--u", "0,1"],
+        ["tableaux", "--multi", "[[" + "1" * 5000 + "]]"],  # int too long for json
+        ["tableaux", "--skew", "[" * 100000],  # nested too deep for json
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(capsys, argv):

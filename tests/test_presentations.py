@@ -244,6 +244,26 @@ def test_shared_words_are_evaluated_once(family, monkeypatch):
         assert lhs | rhs == set(lc_sub(rel.lhs, rel.rhs))
 
 
+def test_words_with_coefficient_zero_at_q0_are_not_evaluated(monkeypatch):
+    # at q = 1 each A1's (q - q^-1) T_i and each R5's P_i P_i has
+    # coefficient 0, so verify forms no product for them
+    from qrook.rook import generators_q1
+
+    seen = []
+    evaluate = presentations.eval_lincomb
+
+    def recording(comb, assignment, n):
+        seen.append(comb)
+        return evaluate(comb, assignment, n)
+
+    monkeypatch.setattr(presentations, "eval_lincomb", recording)
+    rels = relations_rook(4)
+    assert verify(generators_q1(4), rels, q0=1).passed
+    assert all(not c.is_zero() for comb in seen for c in comb.values())
+    words = sum(len(lc_sub(rel.lhs, rel.rhs)) for rel in rels)
+    assert sum(map(len, seen)) == words - 6
+
+
 def test_verify_report_json():
     rep = cyclotomic_module(((2,), ()), U01)
     data = verify(rep.matrices, relations_Ak_presentation(2)).to_json()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrook import cli, shapes
-from qrook.qfield import Q, RF_ONE, RatFunc, as_ratfunc
+from qrook.errors import InvalidArgument
+from qrook.qfield import Q, RF_ONE
 from qrook.shapes import (
     FAMILY_A_QUOTIENT,
     FAMILY_TYPE_B,
@@ -22,6 +23,8 @@ from qrook.shapes import (
     parse_multipartition,
     parse_skew,
     removable_boxes,
+    remove_box,
+    shape_boxes,
 )
 
 
@@ -29,6 +32,34 @@ def test_enumerate_partitions():
     assert enumerate_partitions(0) == [()]
     assert enumerate_partitions(3) == [(3,), (2, 1), (1, 1, 1)]
     assert len(enumerate_partitions(4)) == 5
+
+
+def _in_component_1(boxes):
+    """Boxes of a plain shape, all in component None, moved to component 1."""
+    assert all(comp is None for comp, _, _ in boxes)
+    return [(1, r, c) for _, r, c in boxes]
+
+
+def test_partition_reads_as_its_one_component_multipartition():
+    for n in range(9):
+        for p in enumerate_partitions(n):
+            mp = (p,)
+            assert _in_component_1(shape_boxes(p)) == shape_boxes(mp), p
+            assert _in_component_1(removable_boxes(p)) == removable_boxes(mp), p
+            assert _in_component_1(addable_boxes(p)) == addable_boxes(mp), p
+            assert [(remove_box(p, b),) for b in removable_boxes(p)] == [
+                remove_box(mp, b) for b in removable_boxes(mp)
+            ], p
+            assert count_standard_tableaux(p) == count_standard_tableaux(mp), p
+            skew = SkewShape(p, ())
+            assert shape_boxes(skew) == shape_boxes(p), p
+            assert count_standard_tableaux(skew) == count_standard_tableaux(p), p
+
+
+def test_skew_shapes_have_no_corners():
+    for corners in (addable_boxes, removable_boxes):
+        with pytest.raises(InvalidArgument):
+            corners(SkewShape((2, 1), (1,)))
 
 
 def test_removable_and_addable():
@@ -51,7 +82,12 @@ def test_tableau_counts_examples():
 def _brute_force_count(shape) -> int:
     """Count standard fillings by filtering all entry orders."""
     if isinstance(shape, SkewShape):
-        boxes = shape.boxes()
+        inner = shape.inner + (0,) * len(shape.outer)
+        boxes = [
+            (None, r, col)
+            for r, row in enumerate(shape.outer, start=1)
+            for col in range(inner[r - 1] + 1, row + 1)
+        ]
     else:
         boxes = [
             (c, r, col)
@@ -121,9 +157,15 @@ def _skew_shapes(max_outer):
     ids=["partitions_le8", "pairs_le6", "skew_outer_le7"],
 )
 def test_closed_form_count_matches_enumeration(shapes):
-    """The determinant count against the enumeration oracle, exhaustively."""
+    """The determinant count against the enumeration oracle, exhaustively;
+    each enumeration is strictly increasing in the canonical order and
+    holds only standard fillings, so it lists each tableau once."""
     for shape in shapes:
-        assert count_standard_tableaux(shape) == len(enumerate_standard_tableaux(shape)), shape
+        tabs = enumerate_standard_tableaux(shape)
+        assert count_standard_tableaux(shape) == len(tabs), shape
+        keys = [t.sort_key() for t in tabs]
+        assert all(a < b for a, b in zip(keys, keys[1:])), shape
+        assert all(t.is_standard() for t in tabs), shape
 
 
 def test_closed_form_count_large_shapes():
@@ -189,9 +231,7 @@ def test_tableaux_canonical_order():
 def test_content_values():
     assert content((None, 1, 1)) == RF_ONE
     assert content((None, 1, 3)) == Q**4
-    u = (as_ratfunc(2), as_ratfunc(3))
-    assert content((2, 2, 1), u=u) == as_ratfunc(3) * Q**-2
-    assert content((None, 1, 2), shift=as_ratfunc(5) * Q**2) == 5 * Q**4
+    assert content((2, 2, 1)) == Q**-2
 
 
 def test_index_sets():
