@@ -15,6 +15,7 @@ from .linalg import Mat
 from .qfield import Q, QINV, RF_ONE, as_ratfunc
 from .shapes import (
     SkewShape,
+    check_partition,
     content,
     enumerate_standard_tableaux,
     index_set_H,
@@ -99,6 +100,8 @@ def cyclotomic_module(shape, u) -> Representation:
     """Seminormal module of an r-multipartition with contents u_i q^(2(c-r))."""
     if not is_multipartition(shape):
         raise InvalidArgument("expected a multipartition")
+    for part in shape:
+        check_partition(part)
     u = [as_ratfunc(x) for x in u]
     if len(u) != len(shape):
         raise InvalidArgument("need one u parameter per component")

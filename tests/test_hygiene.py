@@ -2,8 +2,9 @@
 can change a RatFunc after ``RatFunc.__new__`` builds it, only ``linalg`` builds a
 Mat from a rows dict or writes into one, nothing rebinds qfield's memo
 tables, no invariant rests on an ``assert`` statement or a raised
-``AssertionError``, and every exception class in ``errors.py`` is raised
-somewhere."""
+``AssertionError``, every exception class in ``errors.py`` is raised
+somewhere, and every function, class and method of ``src/qrook`` is named
+somewhere outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -331,3 +332,69 @@ def test_detector_sees_assertion_errors_and_dead_exception_classes():
 def test_no_assertion_errors_and_every_exception_class_is_raised():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert raise_faults(sources["errors.py"], sources) == []
+
+
+def unreferenced_definitions(sources: dict, defining: set) -> list:
+    """Each module-level function or class, and each non-dunder method,
+    of a module in ``defining`` whose name no module of ``sources`` (name
+    -> source) uses outside its own ``def``: as a name, an attribute or
+    an imported name.  A wrapper whose last caller went shows up here."""
+    definitions, references = [], []
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, name, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                references += [(alias.name, name, node.lineno) for alias in node.names]
+        if name not in defining:
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for child in [node] + members:
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if child is node or not (child.name.startswith("__") and child.name.endswith("__")):
+                        definitions.append((child.name, name, child.lineno, child.end_lineno))
+    return [
+        f"{where} (line {first}): {ident}"
+        for ident, where, first, last in definitions
+        if not any(r == ident and (at != where or not first <= line <= last) for r, at, line in references)
+    ]
+
+
+def test_detector_sees_unreferenced_definitions():
+    sources = {
+        "lib.py": (
+            "def used(x):\n"
+            "    return helper(x)\n"
+            "def helper(x):\n"
+            "    return x\n"
+            "def recursive(x):\n"
+            "    return recursive(x - 1)\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.open()\n"
+            "    def open(self):\n"
+            "        pass\n"
+            "    def shut(self):\n"
+            "        pass\n"
+            "    def attribute_elsewhere(self):\n"
+            "        pass\n"
+            "class Dead:\n"
+            "    pass\n"
+        ),
+        "test_lib.py": "from lib import used\nused(1).attribute_elsewhere()\nBox()\n",
+    }
+    assert unreferenced_definitions(sources, {"lib.py"}) == [
+        "lib.py (line 5): recursive",
+        "lib.py (line 12): shut",
+        "lib.py (line 16): Dead",
+    ]
+
+
+def test_every_definition_is_referenced():
+    sources = {f"src/{p.name}": p.read_text() for p in SRC.glob("*.py")}
+    sources |= {f"tests/{p.name}": p.read_text() for p in TESTS.glob("*.py")}
+    assert unreferenced_definitions(sources, {name for name in sources if name.startswith("src/")}) == []

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,6 +79,19 @@ def test_shifted_skew_preconditions():
         shifted_skew_module(3, 3, as_ratfunc(1))
     with pytest.raises(InvalidArgument):
         shifted_skew_module(3, 1, as_ratfunc(0))
+
+
+@pytest.mark.parametrize(
+    "shape, u, bad",
+    [
+        (((0, 1),), [1], "(0, 1)"),
+        (((2,), (0,)), [1, 2], "(0,)"),  # not read as the empty partition
+        (((1, 2),), [1], "(1, 2)"),
+    ],
+)
+def test_cyclotomic_module_names_a_part_that_is_not_a_partition(shape, u, bad):
+    with pytest.raises(InvalidArgument, match=f"^not a partition: {re.escape(bad)}$"):
+        cyclotomic_module(shape, u)
 
 
 def test_restrict_examples():

@@ -1,7 +1,7 @@
 import pytest
 
 from qrook.errors import InvalidArgument
-from qrook.linalg import Mat
+from qrook.linalg import Mat, hecke_inverse
 from qrook.presentations import (
     relations_cyclotomic,
     tower_x_matrices,
@@ -10,8 +10,7 @@ from qrook.presentations import (
 from qrook.qfield import Q, QINV, RF_ONE, RF_ZERO, as_ratfunc
 from qrook.tensor import (
     GradedBasis,
-    braiding_commutes_with_coproduct,
-    build_V,
+    commutes_with_coproduct,
     coproduct,
     dop,
     lift,
@@ -19,7 +18,6 @@ from qrook.tensor import (
     predicted_centralizer_dimension,
     rmatrix,
     rmatrix_at_one_is_flip,
-    rmatrix_inv,
     smatrix,
     verify_phiP,
 )
@@ -27,8 +25,12 @@ from qrook.tensor import (
 U01 = (as_ratfunc(0), as_ratfunc(1))
 
 
-def test_build_V_actions():
-    v = build_V(2)
+def _levi(n: int, k: int) -> dict:
+    return coproduct(GradedBasis((n,)), k)
+
+
+def test_coproduct_on_V_actions():
+    v = _levi(2, 1)
     # f_1 v_1 = v_2, f_1 v_2 = 0
     assert v["f1"].get(1, 0) == RF_ONE
     assert all(v["f1"].get(i, 1).is_zero() for i in range(2))
@@ -57,8 +59,8 @@ def _naive_coproduct(n: int) -> dict:
     """x -> x (x) 1 + K (x) x for f as well as e, grouplike on the
     Cartan part: the braiding commutes with it, but it is not an
     algebra map."""
-    v = build_V(n)
-    out = coproduct(n)
+    v = _levi(n, 1)
+    out = _levi(n, 2)
     for i in range(1, n):
         k = v[f"qe{i}"] @ v[f"qe{i + 1}inv"]
         f = v[f"f{i}"]
@@ -75,13 +77,14 @@ def _flip(n: int) -> Mat:
 
 
 @pytest.mark.parametrize(
-    "build, n",
-    [pytest.param(build_V, n, id=str(n)) for n in (2, 3, 4)]
-    + [pytest.param(coproduct, n, id=f"coproduct-{n}") for n in (2, 3)],
+    "n, k",
+    [pytest.param(n, 1, id=str(n)) for n in (2, 3, 4)]
+    + [pytest.param(n, 2, id=f"coproduct-{n}") for n in (2, 3)]
+    + [pytest.param(2, 3, id="coproduct-2-k3")],
 )
-def test_ef_commutator_relation(build, n):
-    # on V, and on V tensor V through Jimbo's coproduct: an algebra map
-    assert _ef_commutator_holds(build(n), n)
+def test_ef_commutator_relation(n, k):
+    # on V, and on V tensor k through Jimbo's coproduct: an algebra map
+    assert _ef_commutator_holds(_levi(n, k), n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -96,7 +99,7 @@ def test_naive_coproduct_is_not_an_algebra_map(n):
 def test_flip_does_not_commute_with_coproduct(n):
     p = _flip(n)
     assert p @ p == Mat.identity(n * n)
-    assert not all(p @ m == m @ p for m in coproduct(n).values())
+    assert not commutes_with_coproduct({"T1": p}, GradedBasis((n,)), 2)
 
 
 def test_rmatrix_three_cases():
@@ -112,7 +115,7 @@ def test_rmatrix_three_cases():
 
 def test_rmatrix_inverse():
     for n in (2, 3):
-        assert rmatrix(n) @ rmatrix_inv(n) == Mat.identity(n * n)
+        assert rmatrix(n) @ hecke_inverse(rmatrix(n)) == Mat.identity(n * n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -232,9 +235,30 @@ def test_centralizer_disagrees_at_a_non_semisimple_u():
 
 def test_coproduct_convention():
     for n in (2, 3):
-        assert braiding_commutes_with_coproduct(n)
+        assert commutes_with_coproduct({"T1": rmatrix(n)}, GradedBasis((n,)), 2)
     with pytest.raises(InvalidArgument):
-        braiding_commutes_with_coproduct(1)
+        coproduct(GradedBasis((2,)), 0)
+
+
+def test_coproduct_builds_e_and_f_only_within_a_component():
+    # v_0 alone in component 1; v_1, v_2 in component 2; v_3 in component 3
+    delta = coproduct(GradedBasis((1, 2, 1)), 2)
+    assert sorted(delta) == ["e2", "f2"] + [f"qe{j}{tag}" for j in range(1, 5) for tag in ("", "inv")]
+
+
+@pytest.mark.parametrize(
+    "dims, k, u",
+    [((1, 2), 3, (0, 1)), ((1, 2), 4, (1, 3)), ((2, 2), 3, (1, 3)), ((2, 1), 4, (0, 1))],
+)
+def test_phiP_commutes_with_levi_coproduct(dims, k, u):
+    # the commuting half of the duality: every generator of the action is
+    # a module map of the Levi quantum group on V tensor k
+    basis = GradedBasis(dims)
+    asg = phiP(k, basis, u)
+    assert commutes_with_coproduct(asg, basis, k)
+    # negative control: T_1 as the plain flip is no module map
+    asg["T1"] = lift(_flip(basis.n), k, 1, basis.n)
+    assert not commutes_with_coproduct(asg, basis, k)
 
 
 def test_rmatrix_preserves_weight_space():
