@@ -8,7 +8,6 @@ asserts lhs = rhs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -83,11 +82,18 @@ def lc_prod(factors) -> LinComb:
     return out
 
 
-@dataclass(frozen=True)
 class Relation:
-    name: str
-    lhs: LinComb
-    rhs: LinComb
+    """A named relation lhs = rhs between two linear combinations."""
+
+    __slots__ = ("name", "lhs", "rhs")
+
+    def __init__(self, name: str, lhs: LinComb, rhs: LinComb):
+        self.name = name
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __repr__(self):
+        return f"Relation(name={self.name!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
 def _quadratic(t: str) -> Relation:
@@ -335,16 +341,26 @@ def apply_substitution(comb: LinComb, subst: dict) -> LinComb:
 # -- verification ---------------------------------------------------------
 
 
-@dataclass
 class RelationResult:
-    name: str
-    ok: bool
-    residual: str  # witness entry of the residual matrix; "0" on pass
+    __slots__ = ("name", "ok", "residual")
+
+    def __init__(self, name: str, ok: bool, residual: str):
+        self.name = name
+        self.ok = ok
+        self.residual = residual  # witness entry of the residual matrix; "0" on pass
+
+    def __repr__(self):
+        return f"RelationResult(name={self.name!r}, ok={self.ok!r}, residual={self.residual!r})"
 
 
-@dataclass
 class Report:
-    results: list
+    __slots__ = ("results",)
+
+    def __init__(self, results: list):
+        self.results = results
+
+    def __repr__(self):
+        return f"Report(results={self.results!r})"
 
     @property
     def passed(self) -> bool:

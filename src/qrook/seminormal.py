@@ -8,8 +8,6 @@ dropped when the swapped filling is not standard).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateContent, InvalidArgument
 from .linalg import Mat
 from .qfield import Q, QINV, RF_ONE, as_ratfunc
@@ -26,12 +24,20 @@ from .shapes import (
 )
 
 
-@dataclass
 class Representation:
-    k: int
-    shape: object
-    basis: tuple  # StandardTableau, canonical order
-    matrices: dict  # generator name -> Mat
+    __slots__ = ("k", "shape", "basis", "matrices")
+
+    def __init__(self, k: int, shape, basis: tuple, matrices: dict):
+        self.k = k
+        self.shape = shape
+        self.basis = basis  # StandardTableau, canonical order
+        self.matrices = matrices  # generator name -> Mat
+
+    def __repr__(self):
+        return (
+            f"Representation(k={self.k!r}, shape={self.shape!r}, "
+            f"basis={self.basis!r}, matrices={self.matrices!r})"
+        )
 
     @property
     def dimension(self) -> int:
@@ -62,31 +68,31 @@ def _build_module(shape, k: int, scale: dict) -> Representation:
     for i in range(1, k + 1):
         matrices[f"X{i}"] = Mat.diagonal([contents[t.box_of(i)] for t in basis])
     qdiff = Q - QINV
+    entries = {}  # (content of i, content of i + 1) -> (diagonal, swap) entries
     for i in range(1, k):
         m = Mat(d)
         for col, t in enumerate(basis):
-            bi, bj = t.box_of(i), t.box_of(i + 1)
+            boxes = t.boxes
+            bi, bj = boxes[i - 1], boxes[i]
             same_comp = bi[0] == bj[0]
             if same_comp and bi[1] == bj[1]:  # same row
-                diag = Q
-                swap_standard = False
+                m.set(col, col, Q)
             elif same_comp and bi[2] == bj[2]:  # same column
-                diag = -QINV
-                swap_standard = False
+                m.set(col, col, -QINV)
             else:
                 a, b = contents[bi], contents[bj]
-                if a == b:
-                    raise DegenerateContent(
-                        f"equal contents for adjacent entries {i},{i + 1} "
-                        f"in shape {shape!r}"
-                    )
-                diag = b * qdiff / (b - a)
-                swap_standard = True
-            m.set(col, col, diag)
-            if swap_standard:
-                swapped = t.entry_swap(i)
-                row = index[swapped.boxes]
-                m.set(row, col, QINV + diag)
+                pair = entries.get((a, b))
+                if pair is None:
+                    if a == b:
+                        raise DegenerateContent(
+                            f"equal contents for adjacent entries {i},{i + 1} "
+                            f"in shape {shape!r}"
+                        )
+                    diag = b * qdiff / (b - a)
+                    pair = entries[a, b] = (diag, QINV + diag)
+                m.set(col, col, pair[0])
+                # the filling with i and i + 1 exchanged is standard
+                m.set(index[boxes[: i - 1] + (bj, bi) + boxes[i + 1 :]], col, pair[1])
         matrices[f"T{i}"] = m
     return Representation(k, shape, basis, matrices)
 

@@ -14,7 +14,6 @@ order used to index matrix rows everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial, perm, prod
@@ -26,19 +25,30 @@ Partition = tuple  # weakly decreasing tuple of positive ints
 Box = tuple  # (component | None, row, col)
 
 
-@dataclass(frozen=True)
 class SkewShape:
-    outer: Partition
-    inner: Partition
+    """The skew shape outer/inner; equal shapes compare and hash equal."""
 
-    def __post_init__(self):
-        check_partition(self.outer)
-        check_partition(self.inner)
-        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
-        if len(self.inner) > len(self.outer) or any(
-            i > o for i, o in zip(inner, self.outer)
-        ):
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: Partition, inner: Partition):
+        check_partition(outer)
+        check_partition(inner)
+        padded = inner + (0,) * (len(outer) - len(inner))
+        if len(inner) > len(outer) or any(i > o for i, o in zip(padded, outer)):
             raise InvalidArgument("inner shape must fit inside the outer shape")
+        self.outer = outer
+        self.inner = inner
+
+    def __eq__(self, other):
+        if type(other) is not SkewShape:
+            return NotImplemented
+        return self.outer == other.outer and self.inner == other.inner
+
+    def __hash__(self):
+        return hash((self.outer, self.inner))
+
+    def __repr__(self):
+        return f"SkewShape(outer={self.outer!r}, inner={self.inner!r})"
 
 
 def check_partition(p):
@@ -125,21 +135,29 @@ def remove_box(shape, box):
     return parts[0] if comp is None else tuple(parts)
 
 
-@dataclass(frozen=True)
 class StandardTableau:
-    """A standard filling, stored as the boxes of entries 1..k in order."""
+    """A standard filling, stored as the boxes of entries 1..k in order;
+    equal fillings of equal shapes compare and hash equal."""
 
-    shape: object
-    boxes: tuple  # boxes[i] holds entry i+1
+    __slots__ = ("shape", "boxes")
+
+    def __init__(self, shape, boxes: tuple):
+        self.shape = shape
+        self.boxes = boxes  # boxes[i] holds entry i+1
+
+    def __eq__(self, other):
+        if type(other) is not StandardTableau:
+            return NotImplemented
+        return self.shape == other.shape and self.boxes == other.boxes
+
+    def __hash__(self):
+        return hash((self.shape, self.boxes))
+
+    def __repr__(self):
+        return f"StandardTableau(shape={self.shape!r}, boxes={self.boxes!r})"
 
     def box_of(self, i: int):
         return self.boxes[i - 1]
-
-    def entry_swap(self, i: int):
-        """The filling with entries i and i+1 exchanged."""
-        b = list(self.boxes)
-        b[i - 1], b[i] = b[i], b[i - 1]
-        return StandardTableau(self.shape, tuple(b))
 
     def is_standard(self) -> bool:
         seen = set()
@@ -283,11 +301,16 @@ FAMILY_TYPE_B = "TypeB"
 FAMILY_A_QUOTIENT = "AQuotient"
 
 
-@dataclass
 class BratteliGraph:
-    family: str
-    levels: list  # levels[m] = list of multipartitions with m boxes
-    edges: list  # edges[m] = list of (i, j): levels[m][i] <-> levels[m+1][j]
+    __slots__ = ("family", "levels", "edges")
+
+    def __init__(self, family: str, levels: list, edges: list):
+        self.family = family
+        self.levels = levels  # levels[m] = list of multipartitions with m boxes
+        self.edges = edges  # edges[m] = list of (i, j): levels[m][i] <-> levels[m+1][j]
+
+    def __repr__(self):
+        return f"BratteliGraph(family={self.family!r}, levels={self.levels!r}, edges={self.edges!r})"
 
     def vertex_counts(self):
         return [len(level) for level in self.levels]

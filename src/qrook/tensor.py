@@ -10,7 +10,6 @@ significant digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import forked
@@ -27,16 +26,28 @@ from .qfield import Q, QINV, RF_ONE, RatFunc, as_ratfunc
 from .shapes import count_standard_tableaux, index_set_H
 
 
-@dataclass(frozen=True)
 class GradedBasis:
     """Basis of V = V_1 + ... + V_r with dim(V_j) = m_j; component j
-    occupies a contiguous, ordered block of indices."""
+    occupies a contiguous, ordered block of indices.  Equal dims compare
+    and hash equal."""
 
-    dims: tuple
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        if not self.dims or any(m < 1 for m in self.dims):
+    def __init__(self, dims: tuple):
+        if not dims or any(m < 1 for m in dims):
             raise InvalidArgument("component dimensions must be positive")
+        self.dims = dims
+
+    def __eq__(self, other):
+        if type(other) is not GradedBasis:
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
+
+    def __repr__(self):
+        return f"GradedBasis(dims={self.dims!r})"
 
     @property
     def n(self) -> int:

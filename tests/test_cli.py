@@ -481,6 +481,22 @@ def _main_alone(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_cli_starts_without_dataclasses_or_inspect():
+    """Importing the CLI and building its parser loads neither module;
+    together they were about half of qrook's import time.  A fresh
+    interpreter, since pytest itself imports both."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qrook.cli; "
+        "qrook.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, SRC], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "sequence",
     [

@@ -12,6 +12,7 @@ from qrook.shapes import (
     FAMILY_A_QUOTIENT,
     FAMILY_TYPE_B,
     SkewShape,
+    StandardTableau,
     addable_boxes,
     bratteli,
     content,
@@ -60,6 +61,22 @@ def test_skew_shapes_have_no_corners():
     for corners in (addable_boxes, removable_boxes):
         with pytest.raises(InvalidArgument):
             corners(SkewShape((2, 1), (1,)))
+
+
+def test_skew_shapes_and_tableaux_compare_by_value():
+    shape, same = SkewShape((2, 1), (1,)), SkewShape((2, 1), (1,))
+    assert shape == same and hash(shape) == hash(same)
+    assert {shape: "skew"}[same] == "skew" and len({shape, same}) == 1
+    assert shape != SkewShape((2, 1), ()) and shape != ((2, 1), (1,))
+    # CLI errors name a shape by this text
+    assert repr(shape) == "SkewShape(outer=(2, 1), inner=(1,))"
+    with pytest.raises(InvalidArgument):
+        SkewShape((1,), (2,))
+    tableaux = enumerate_standard_tableaux(shape)
+    copies = [StandardTableau(same, t.boxes) for t in tableaux]
+    assert copies == tableaux and copies[0] != copies[1]
+    assert {t: i for i, t in enumerate(tableaux)}[copies[1]] == 1
+    assert len(set(tableaux) | set(copies)) == 2
 
 
 def test_removable_and_addable():

@@ -233,6 +233,15 @@ def test_centralizer_disagrees_at_a_non_semisimple_u():
     assert reports["centralizer"]["agree"] is False and reports["passed"] is False
 
 
+def test_graded_bases_compare_by_value():
+    assert GradedBasis((1, 2)) == GradedBasis((1, 2)) != GradedBasis((2, 1))
+    assert {GradedBasis((1, 2)): "V"}[GradedBasis((1, 2))] == "V"
+    assert len({GradedBasis((1, 2)), GradedBasis((1, 2))}) == 1
+    for dims in ((), (0,), (1, -1)):
+        with pytest.raises(InvalidArgument):
+            GradedBasis(dims)
+
+
 def test_coproduct_convention():
     for n in (2, 3):
         assert commutes_with_coproduct({"T1": rmatrix(n)}, GradedBasis((n,)), 2)
