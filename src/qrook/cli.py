@@ -17,7 +17,6 @@ import sys
 from . import forked
 from .errors import DegenerateContent, DivisionByZero, InvalidArgument, PoleAtPoint
 from .presentations import (
-    Report,
     projector_matrices,
     relations_A_algebra,
     relations_Ak_presentation,
@@ -183,6 +182,10 @@ SUITES = {
 }
 
 
+# families whose relation suite is written in the projector letters P_i
+PROJECTOR_FAMILIES = ("rook", "Bprime")
+
+
 def _module_cost(shape) -> int:
     """Estimated cost of checking the module of shape: its dimension.
     The time of a module's suite grows about linearly with it (the
@@ -200,7 +203,7 @@ def _verify_family(family: str, k: int, u, q0):
         raise InvalidArgument(f"unknown family {family!r}")
     if family == "rook" and q0 == 1:
         report = verify(generators_q1(k), relations_rook(k), q0=q0)
-        return report.to_json(), report.passed
+        return report, report["passed"]
     if u is None:
         u = (as_ratfunc(0), as_ratfunc(1))
     shapes = index_set_A(k)
@@ -210,9 +213,9 @@ def _verify_family(family: str, k: int, u, q0):
 
     def check(i):
         asg = cyclotomic_module(shapes[i], u).matrices
-        if family == "rook":
+        if family in PROJECTOR_FAMILIES:
             asg = projector_matrices(asg, k)
-        return verify(asg, rels, q0=q0).to_json()
+        return verify(asg, rels, q0=q0)
 
     reports = forked._map_forked(check, [_module_cost(shape) for shape in shapes])
     passed = all(report["passed"] for report in reports)
@@ -273,13 +276,8 @@ def cmd_schurweyl(args) -> tuple:
         raise InvalidArgument(f"bad graded dimensions {args.m!r}") from exc
     basis = GradedBasis(dims)
     u = parse_u_list(args.u)
-    reports = verify_phiP(args.k, basis, u)
-    del reports["assignment"]
-    payload = {
-        name: value.to_json() if isinstance(value, Report) else value
-        for name, value in reports.items()
-    }
-    return _emit(payload), 0 if reports["passed"] else 1
+    payload = verify_phiP(args.k, basis, u)
+    return _emit(payload), 0 if payload["passed"] else 1
 
 
 def cmd_semisimple(args) -> tuple:

@@ -280,25 +280,16 @@ def ideal_generator_p(u1, u2) -> LinComb:
 
 
 def relations_Bprime(k: int):
-    """The primed projector relations, written in the X1/T alphabet."""
+    """The primed projector relations, in the letters P1, P2 and T_j:
+    P1 commutes with T_j for j >= 2, P2 with T1, and both are idempotent.
+    They are checked on projector_matrices, the matrix form of
+    map_P_to_X."""
     if k < 2:
         raise InvalidArgument("needs k >= 2")
-    subst = map_P_to_X(2)
-    p1, p2 = subst["P1"], subst["P2"]
-    rels = []
-    for j in range(2, k):
-        rels.append(
-            Relation(
-                f"B1':P1T{j}",
-                lc_mul(p1, lc_gen(f"T{j}")),
-                lc_mul(lc_gen(f"T{j}"), p1),
-            )
-        )
-    rels.append(Relation("B2':P1^2", lc_mul(p1, p1), p1))
-    rels.append(
-        Relation("B3':P2T1", lc_mul(p2, lc_gen("T1")), lc_mul(lc_gen("T1"), p2))
-    )
-    rels.append(Relation("B4':P2^2", lc_mul(p2, p2), p2))
+    rels = [_commute("B1'", "P1", f"T{j}") for j in range(2, k)]
+    rels.append(Relation("B2':P1^2", lc((1, ("P1", "P1"))), lc((1, ("P1",)))))
+    rels.append(_commute("B3'", "P2", "T1"))
+    rels.append(Relation("B4':P2^2", lc((1, ("P2", "P2"))), lc((1, ("P2",)))))
     return rels
 
 
@@ -341,41 +332,6 @@ def apply_substitution(comb: LinComb, subst: dict) -> LinComb:
 # -- verification ---------------------------------------------------------
 
 
-class RelationResult:
-    __slots__ = ("name", "ok", "residual")
-
-    def __init__(self, name: str, ok: bool, residual: str):
-        self.name = name
-        self.ok = ok
-        self.residual = residual  # witness entry of the residual matrix; "0" on pass
-
-    def __repr__(self):
-        return f"RelationResult(name={self.name!r}, ok={self.ok!r}, residual={self.residual!r})"
-
-
-class Report:
-    __slots__ = ("results",)
-
-    def __init__(self, results: list):
-        self.results = results
-
-    def __repr__(self):
-        return f"Report(results={self.results!r})"
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "relations": [
-                {"name": r.name, "ok": r.ok, "residual": r.residual}
-                for r in self.results
-            ],
-        }
-
-
 def lincomb_specialize(comb: LinComb, q0) -> LinComb:
     """comb with each coefficient specialised at q0; a word whose
     coefficient is 0 there is dropped, so no matrix product is formed
@@ -407,18 +363,6 @@ def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:
     return Mat.zero(n) if total is None else total
 
 
-def _cancel_shared(lhs: LinComb, rhs: LinComb):
-    """lhs and rhs with each word of both moved to lhs, its coefficient
-    there lhs[w] - rhs[w] (the word dropped when that is zero)."""
-    shared = [(w, -c) for w, c in rhs.items() if w in lhs]
-    if not shared:
-        return lhs, rhs
-    return (
-        _accumulate(dict(lhs), shared),
-        {w: c for w, c in rhs.items() if w not in lhs},
-    )
-
-
 def _nonzero_q(q0) -> Fraction:
     """q0 as a Fraction; InvalidArgument at q0 = 0, where q^-1 has no value."""
     q0 = Fraction(q0)
@@ -427,8 +371,10 @@ def _nonzero_q(q0) -> Fraction:
     return q0
 
 
-def verify(assignment: dict, relations, q0=None) -> Report:
+def verify(assignment: dict, relations, q0=None) -> dict:
     """Evaluate every relation; PASS iff its two sides are equal matrices.
+    The report is the dict the CLI prints: {"passed": bool, "relations":
+    [{"name", "ok", "residual"}, ...]}, one entry per relation in order.
 
     Each relation is checked as written, against the assignment as given:
     a letter with no matrix raises InvalidArgument (eval_lincomb).
@@ -442,11 +388,6 @@ def verify(assignment: dict, relations, q0=None) -> Report:
     failing relation builds the residual, for its witness entry
     (Mat.first_entry_string); a passing one reports "0".
 
-    A word on both sides is evaluated once: before any specialisation,
-    _cancel_shared moves it to the lhs with the difference of its
-    coefficients, or drops it when they are equal, as lc_sub(lhs, rhs)
-    would.  lhs - rhs is unchanged.
-
     At q0, the matrices and both sides' coefficients are specialised
     first, so the check is exact at q = q0; q0 = 0 raises
     InvalidArgument before anything is specialised."""
@@ -458,13 +399,14 @@ def verify(assignment: dict, relations, q0=None) -> Report:
         assignment = {name: m.specialize(q0) for name, m in assignment.items()}
     results = []
     for rel in relations:
-        lhs, rhs = _cancel_shared(rel.lhs, rel.rhs)
+        lhs, rhs = rel.lhs, rel.rhs
         if q0 is not None:
             lhs, rhs = lincomb_specialize(lhs, q0), lincomb_specialize(rhs, q0)
         a, b = eval_lincomb(lhs, assignment, n), eval_lincomb(rhs, assignment, n)
         ok = a == b
-        results.append(RelationResult(rel.name, ok, "0" if ok else (a - b).first_entry_string()))
-    return Report(results)
+        residual = "0" if ok else (a - b).first_entry_string()
+        results.append({"name": rel.name, "ok": ok, "residual": residual})
+    return {"passed": all(r["ok"] for r in results), "relations": results}
 
 
 def algebra_dimension(assignment: dict) -> int:

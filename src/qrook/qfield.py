@@ -43,7 +43,8 @@ word-span saturation ``RowSpan._subtract``, ``RowSpan._normalise`` and
 cleared in place, never rebound; tests/test_hygiene.py checks that
 statically for all four tables.
 Each table, ``_INTERN`` included, is emptied once it holds
-``MEMO_LIMIT`` entries, which bounds its memory.  Emptying a memo table
+``MEMO_LIMIT`` entries, which bounds its memory; ``_store`` is the one
+place that stores into a table, and applies that rule.  Emptying a memo table
 empties ``_INTERN`` too, which would otherwise keep alive every result
 the memo table let go of.  After ``_INTERN`` is emptied one value can
 have two objects: that costs memo misses, never a wrong answer, because
@@ -305,6 +306,16 @@ _SERIALS = itertools.count()
 MAX_EXPONENT = 10_000
 
 
+def _store(table, key, value):
+    """table[key] = value, returning value; a table that holds
+    ``MEMO_LIMIT`` entries is emptied first, and ``_INTERN`` with it."""
+    if len(table) >= MEMO_LIMIT:
+        table.clear()
+        _INTERN.clear()
+    table[key] = value
+    return value
+
+
 def _memoised(table):
     """Memoise a binary RatFunc operation in ``table`` when both operands
     are RatFuncs (see the module docstring for why a hit is exact)."""
@@ -317,10 +328,7 @@ def _memoised(table):
             key = (self.sid, other.sid)
             out = table.get(key)
             if out is None:
-                if len(table) >= MEMO_LIMIT:
-                    table.clear()
-                    _INTERN.clear()
-                out = table[key] = op(self, other)
+                out = _store(table, key, op(self, other))
             return out
 
         return wrapped
@@ -339,9 +347,7 @@ class RatFunc:
         key = (num, den)
         self = _INTERN.get(key)
         if self is None:
-            if len(_INTERN) >= MEMO_LIMIT:
-                _INTERN.clear()
-            self = _INTERN[key] = object.__new__(cls)
+            self = _store(_INTERN, key, object.__new__(cls))
             self.num = num
             self.den = den
             self.sid = next(_SERIALS)
@@ -509,11 +515,7 @@ class RatFunc:
         key = (self.sid, q0.numerator, q0.denominator)
         out = _AT.get(key)
         if out is None:
-            value = self.specialize(q0)
-            if len(_AT) >= MEMO_LIMIT:
-                _AT.clear()
-                _INTERN.clear()
-            out = _AT[key] = RatFunc.from_fraction(value)
+            out = _store(_AT, key, RatFunc.from_fraction(self.specialize(q0)))
         return out
 
     def __eq__(self, other):

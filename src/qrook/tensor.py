@@ -158,13 +158,14 @@ def phiP(k: int, basis: GradedBasis, u) -> dict:
 def verify_phiP(k: int, basis: GradedBasis, u) -> dict:
     """Verify the tensor-space action against the cyclotomic suite and,
     in the two-component rook specialization (m_1 = 1, u = (0,1)), the
-    quotient-algebra suite and the identity X_1 = d_1.
+    quotient-algebra suite and the identity X_1 = d_1.  The result is the
+    payload that schurweyl prints: each suite's verify report under its
+    name, "rook_identity", "centralizer" and "passed".
 
     "centralizer" compares the word-span dimension of the action with
     ``predicted_centralizer_dimension``.  At a non-semisimple u the
     suites can pass while the span is smaller, so "passed" also needs
-    the two to agree.  The verified assignment ``phiP(k, basis, u)`` is
-    returned under "assignment".
+    the two to agree.
 
     The suites and the span are independent checks of one assignment,
     so they run in forked._map_forked's processes; the span, the longer
@@ -174,13 +175,12 @@ def verify_phiP(k: int, basis: GradedBasis, u) -> dict:
 
     def suites():
         full = tower_x_matrices(asg, k)
-        cyc = verify(full, relations_cyclotomic(k, u))
-        reports = {"cyclotomic": cyc}
-        passed = cyc.passed
+        reports = {"cyclotomic": verify(full, relations_cyclotomic(k, u))}
+        passed = reports["cyclotomic"]["passed"]
         if basis.r == 2 and basis.dims[0] == 1 and u[0].is_zero() and u[1] == RF_ONE:
             if k >= 2:
-                reports["quotient"] = quo = verify(asg, relations_A_algebra(k, u[0], u[1]))
-                passed = passed and quo.passed
+                reports["quotient"] = verify(asg, relations_A_algebra(k, u[0], u[1]))
+                passed = passed and reports["quotient"]["passed"]
             reports["rook_identity"] = ident = asg["X1"] == lift(dop(basis, u), k, 1, basis.n)
             passed = passed and ident
         return reports, passed
@@ -189,7 +189,6 @@ def verify_phiP(k: int, basis: GradedBasis, u) -> dict:
     (reports, passed), dim = forked._map_forked(
         lambda i: algebra_dimension(asg) if i else suites(), [1, 2]
     )
-    reports["assignment"] = asg
     predicted = predicted_centralizer_dimension(k, basis)
     reports["centralizer"] = {"dimension": dim, "predicted": predicted, "agree": dim == predicted}
     reports["passed"] = passed and dim == predicted

@@ -61,7 +61,7 @@ def test_generators_q1_shapes():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_q1_matrices_satisfy_rook_relations(k):
-    assert verify(generators_q1(k), relations_rook(k), q0=Fraction(1)).passed
+    assert verify(generators_q1(k), relations_rook(k), q0=Fraction(1))["passed"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -60,7 +60,7 @@ def test_hecke_quadratic_on_every_generator():
 def test_cyclotomic_suite_passes(k):
     for shape in index_set_H(k, 2):
         rep = cyclotomic_module(shape, U23)
-        assert verify(rep.matrices, relations_cyclotomic(k, U23)).passed
+        assert verify(rep.matrices, relations_cyclotomic(k, U23))["passed"]
 
 
 def test_degenerate_content_raises():

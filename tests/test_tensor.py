@@ -193,8 +193,9 @@ def test_phiP_suites_and_rook_identity(n, k):
     reports = verify_phiP(k, basis, U01)
     assert reports["passed"]
     assert reports["rook_identity"] is True
-    assert reports["cyclotomic"].passed
-    assert reports["assignment"] == phiP(k, basis, U01)
+    assert reports["cyclotomic"]["passed"]
+    # the schurweyl payload as it is printed, without the assignment
+    assert sorted(reports) == ["centralizer", "cyclotomic", "passed", "quotient", "rook_identity"]
 
 
 def test_phiP_negative_control_corrupt_d():
@@ -204,8 +205,8 @@ def test_phiP_negative_control_corrupt_d():
     asg = phiP(2, basis, (as_ratfunc(0), as_ratfunc(2)))
     full = tower_x_matrices(asg, 2)
     report = verify(full, relations_cyclotomic(2, U01))
-    assert not report.passed
-    failing = [r.name for r in report.results if not r.ok]
+    assert not report["passed"]
+    failing = [r["name"] for r in report["relations"] if not r["ok"]]
     assert "cyclotomic:X1" in failing
 
 
@@ -228,7 +229,7 @@ def test_centralizer_at_n_to_the_k_128():
 def test_centralizer_disagrees_at_a_non_semisimple_u():
     # u = (1, 1): the suites pass while the span falls short
     reports = verify_phiP(3, GradedBasis((1, 1)), (as_ratfunc(1), as_ratfunc(1)))
-    assert reports["cyclotomic"].passed
+    assert reports["cyclotomic"]["passed"]
     assert reports["centralizer"]["dimension"] < reports["centralizer"]["predicted"]
     assert reports["centralizer"]["agree"] is False and reports["passed"] is False
 
