@@ -58,12 +58,12 @@ def parse_u_list(spec: str):
 
 
 def parse_q(spec: str):
-    """'symbolic' -> None, otherwise a value without q, read as a rational."""
+    """'symbolic' -> None, otherwise a value without q: a constant RatFunc."""
     if spec == "symbolic":
         return None
     if "q" in spec:
         raise InvalidArgument(f"bad q value {spec!r}: it may not contain q")
-    return as_ratfunc(spec).specialize(0)  # a constant, so any point will do
+    return as_ratfunc(spec)
 
 
 _encode_str = json.encoder.encode_basestring_ascii

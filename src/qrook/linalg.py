@@ -25,8 +25,6 @@ a -> a v is injective on the algebra, as on the identity element that
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotInvertible
 from .qfield import _PRODUCTS, _SUMS, Q, QINV, RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 
@@ -115,8 +113,8 @@ class Mat:
         return not self.rows
 
     def specialize(self, q0) -> "Mat":
-        """The matrix with every entry evaluated at q = q0 (exact)."""
-        q0 = Fraction(q0)
+        """The matrix with every entry evaluated at q = q0 (exact), for a
+        constant q0 of any type that RatFunc.at reads."""
         out = Mat(self.n)
         for i, r in self.rows.items():
             for j, v in r.items():

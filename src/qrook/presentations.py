@@ -8,7 +8,6 @@ asserts lhs = rhs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidArgument
@@ -169,14 +168,17 @@ def relations_rook(k: int):
     return rels
 
 
-X2_WORD = ("T1", "X1", "T1")
+def x_word(i: int) -> Word:
+    """The word T(i-1)...T1 X1 T1...T(i-1) of X_i in the tower
+    X(j+1) = Tj Xj Tj."""
+    ts = tuple(f"T{j}" for j in range(i - 1, 0, -1))
+    return ts + ("X1",) + ts[::-1]
 
 
 def _x1_t1_braid(name: str) -> Relation:
-    """X1 T1 X1 T1 = T1 X1 T1 X1."""
-    return Relation(
-        name, lc((1, ("X1", "T1", "X1", "T1"))), lc((1, ("T1", "X1", "T1", "X1")))
-    )
+    """X1 X2 = X2 X1, that is X1 T1 X1 T1 = T1 X1 T1 X1."""
+    x2 = x_word(2)
+    return Relation(name, lc((1, ("X1",) + x2)), lc((1, x2 + ("X1",))))
 
 
 def _x1_polynomial(u) -> LinComb:
@@ -203,7 +205,7 @@ def b4_factors():
         one_minus_x1,
         lc((1, ("T1",)), (-Q, ())),
         one_minus_x1,
-        lc((1, ()), (-1, X2_WORD)),
+        lc((1, ()), (-1, x_word(2))),
     ]
 
 
@@ -226,14 +228,7 @@ def relations_affine(k: int):
     if k >= 2:
         rels.append(_x1_t1_braid("C6"))
     for i in range(2, k + 1):
-        ts = tuple(f"T{j}" for j in range(i - 1, 0, -1))
-        rels.append(
-            Relation(
-                f"Cderived:X{i}",
-                lc((1, (f"X{i}",))),
-                lc((1, ts + ("X1",) + tuple(reversed(ts)))),
-            )
-        )
+        rels.append(Relation(f"Cderived:X{i}", lc_gen(f"X{i}"), lc((1, x_word(i)))))
     return rels
 
 
@@ -272,7 +267,7 @@ def ideal_generator_p(u1, u2) -> LinComb:
     u1 = as_ratfunc(u1)
     u2 = as_ratfunc(u2)
     x1_minus_u2 = lc((1, ("X1",)), (-u2, ()))
-    x2 = lambda c: lc((1, X2_WORD), (c, ()))
+    x2 = lambda c: lc((1, x_word(2)), (c, ()))
     if not u1.is_zero():
         return lc_prod([x1_minus_u2, x2(-u2), x2(-Q * Q * u1)])
     t1_minus_q = lc((1, ("T1",)), (-Q, ()))
@@ -308,15 +303,10 @@ def map_P_to_X(k: int) -> dict:
 
 
 def map_X_to_P(k: int) -> dict:
-    """Substitution sending each commuting generator to P1/T words."""
-    subst = {}
-    for i in range(1, k + 1):
-        ts = tuple(f"T{j}" for j in range(i - 1, 0, -1))
-        rev = tuple(reversed(ts))
-        subst[f"X{i}"] = lc(
-            (1, ts + rev), (-1, ts + ("P1",) + rev)
-        )
-    return subst
+    """Substitution sending each commuting generator to P1/T words: X_i
+    is x_word(i) with X1 = 1 - P1."""
+    x1 = {"X1": lc((1, ()), (-1, ("P1",)))}
+    return {f"X{i}": apply_substitution(lc((1, x_word(i))), x1) for i in range(1, k + 1)}
 
 
 def apply_substitution(comb: LinComb, subst: dict) -> LinComb:
@@ -336,7 +326,6 @@ def lincomb_specialize(comb: LinComb, q0) -> LinComb:
     """comb with each coefficient specialised at q0; a word whose
     coefficient is 0 there is dropped, so no matrix product is formed
     only to be scaled by 0."""
-    q0 = Fraction(q0)
     values = {w: c.at(q0) for w, c in comb.items()}
     return {w: c for w, c in values.items() if not c.is_zero()}
 
@@ -363,10 +352,10 @@ def eval_lincomb(comb: LinComb, assignment: dict, n: int) -> Mat:
     return Mat.zero(n) if total is None else total
 
 
-def _nonzero_q(q0) -> Fraction:
-    """q0 as a Fraction; InvalidArgument at q0 = 0, where q^-1 has no value."""
-    q0 = Fraction(q0)
-    if q0 == 0:
+def _nonzero_q(q0):
+    """q0 as a RatFunc; InvalidArgument at q0 = 0, where q^-1 has no value."""
+    q0 = as_ratfunc(q0)
+    if q0.is_zero():
         raise InvalidArgument("q must be nonzero")
     return q0
 
@@ -453,9 +442,7 @@ def semisimple_cyclotomic(u, k: int, q0=None) -> bool:
     u = [as_ratfunc(x) for x in u]
     qsq = Q * Q
     if q0 is not None:
-        q0 = Fraction(q0)
-        u = [x.specialize(q0) for x in u]
-        qsq = q0**2
+        u, qsq = [x.at(q0) for x in u], qsq.at(q0)
     return not any(
         qsq**d * u[a] == u[b]
         for a, b in combinations(range(len(u)), 2)
@@ -469,7 +456,7 @@ def semisimple_rook(k: int, q0=None) -> bool:
         raise InvalidArgument("k must be >= 1")
     if q0 is None:
         return True
-    return quantum_factorial(k).specialize(_nonzero_q(q0)) != 0
+    return quantum_factorial(k).at(_nonzero_q(q0)) != 0
 
 
 def indecomposable_witness(k: int, u1) -> dict:

@@ -15,10 +15,11 @@ integer gcd, and keeps it only if it divides both exactly; those exact
 divisions give the reduced parts.  The primitive pseudo-remainder
 sequence is the fallback (a denominator c·q^e needs no gcd).
 ``+`` and ``*`` have one path each: (n1·d2 + n2·d1)/(d1·d2) and
-(n1·n2)/(d1·d2), canonicalised.  ``Fraction`` appears only in the
-result of specialisation at a rational q (``poly_eval`` itself runs on
-integers) and in conversion from rationals (``RatFunc.from_fraction``,
-``as_ratfunc``).
+(n1·n2)/(d1·d2), canonicalised.  A rational number is a constant
+RatFunc: a point q0 is one, and so is a value specialised there.  A
+``fractions.Fraction`` is read by its ``numerator`` and ``denominator``
+(``RatFunc.from_fraction``, ``as_ratfunc``); this module never imports
+``fractions``.
 
 Every RatFunc is hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): construction canonicalises (num, den) and returns
@@ -51,9 +52,11 @@ have two objects: that costs memo misses, never a wrong answer, because
 the two have distinct serials and equal values.  Operands that are not
 RatFuncs (ints, Fractions, strings) bypass the tables.
 
-Specialisation is memoised the same way: ``x.at(q0)`` returns the constant
-RatFunc x(q0) from ``_AT``, keyed on ``(x.sid, numerator, denominator)``
-of q0, so a hit hashes three ints and no Fraction.  ``Mat.specialize`` and
+Specialisation is memoised the same way: ``x.at(q0)``, the one
+specialisation, returns the constant RatFunc x(q0) from ``_AT``, keyed on
+the serial pair ``(x.sid, q0.sid)``.  A miss evaluates numerator and
+denominator by integer Horner (``poly_eval``) at q0 = n/b and builds one
+canonical constant.  ``Mat.specialize`` and
 ``presentations.lincomb_specialize`` both go through it, so each distinct
 value is specialised once per process.  ``_AT`` is bounded by
 ``MEMO_LIMIT`` and emptied with ``_INTERN`` by the same rule; a pole is
@@ -65,7 +68,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from fractions import Fraction
 from math import gcd
 
 from .errors import DivisionByZero, InvalidArgument, PoleAtPoint
@@ -133,18 +135,14 @@ def poly_shift(a, e):
     return a[-e:]
 
 
-def poly_eval(a, x: Fraction) -> Fraction:
-    """a(x) exactly.  With x = n/b in lowest terms and d = deg a, Horner's
-    rule in integers gives N = sum a_i n^i b^(d-i), and a(x) = N / b^d is
-    the one Fraction built."""
-    if not a:
-        return Fraction(0)
-    n, b = x.numerator, x.denominator
+def poly_eval(a, n: int, b: int) -> int:
+    """b^d·a(n/b) for d = deg a, by Horner's rule in integers: the sum of
+    a_i n^i b^(d-i), so a(n/b) itself is this over b^d (0 for a = 0)."""
     acc, scale = 0, 1  # scale = b^i after i coefficients
     for c in reversed(a):
         acc = acc * n + c * scale
         scale *= b
-    return Fraction(acc, scale // b)
+    return acc
 
 
 def _poly_quotient(a, b):
@@ -298,7 +296,7 @@ MEMO_LIMIT = 1 << 16
 _SUMS: dict = {}
 _PRODUCTS: dict = {}
 _INTERN: dict = {}  # (num, den) -> the RatFunc of that canonical form
-_AT: dict = {}  # (sid, numerator, denominator of q0) -> the constant self(q0)
+_AT: dict = {}  # (sid, q0.sid) -> the constant self(q0)
 _SERIALS = itertools.count()
 
 # the largest e that q^e may have in RatFunc.from_string: the value is a
@@ -364,10 +362,13 @@ class RatFunc:
         return RatFunc((n,) if n else P_ZERO, P_ONE, _canonical=True)
 
     @staticmethod
-    def from_fraction(x: Fraction) -> "RatFunc":
-        x = Fraction(x)
-        num = (x.numerator,) if x.numerator else P_ZERO
-        return RatFunc(num, (x.denominator,), _canonical=True)
+    def from_fraction(x) -> "RatFunc":
+        """The constant n/d for an x with integer ``numerator`` n and
+        ``denominator`` d, such as a Fraction (an int is n/1)."""
+        n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
+        if not (isinstance(n, int) and isinstance(d, int)):
+            raise InvalidArgument(f"cannot coerce {x!r} to a rational function")
+        return RatFunc((n,), (d,))
 
     @staticmethod
     def q_power(e: int) -> "RatFunc":
@@ -502,20 +503,27 @@ class RatFunc:
 
     # -- misc ------------------------------------------------------------
 
-    def specialize(self, q0) -> Fraction:
-        q0 = Fraction(q0)
-        d = poly_eval(self.den, q0)
-        if d == 0:
-            raise PoleAtPoint(f"denominator vanishes at q={q0}")
-        return poly_eval(self.num, q0) / d
-
     def at(self, q0) -> "RatFunc":
-        """self(q0) as a constant RatFunc, for an int or Fraction q0,
-        memoised in ``_AT``; a pole raises PoleAtPoint and stores nothing."""
-        key = (self.sid, q0.numerator, q0.denominator)
+        """self(q0) as a constant RatFunc, for a constant q0 of any type
+        as_ratfunc reads, memoised in ``_AT``; a pole raises PoleAtPoint
+        and stores nothing."""
+        q0 = as_ratfunc(q0)
+        key = (self.sid, q0.sid)
         out = _AT.get(key)
         if out is None:
-            out = _store(_AT, key, RatFunc.from_fraction(self.specialize(q0)))
+            if len(q0.num) > 1 or len(q0.den) > 1:
+                raise InvalidArgument(f"cannot specialise at q={q0}: it is not a constant")
+            n, b = q0.num[0] if q0.num else 0, q0.den[0]
+            num, den = poly_eval(self.num, n, b), poly_eval(self.den, n, b)
+            if not den:
+                raise PoleAtPoint(f"denominator vanishes at q={n if b == 1 else f'{n}/{b}'}")
+            # num/den = b^(deg num - deg den) · self(q0)
+            e = len(self.den) - len(self.num)
+            if e >= 0:
+                num *= b**e
+            else:
+                den *= b**-e
+            out = _store(_AT, key, RatFunc((num,), (den,)))
         return out
 
     def __eq__(self, other):
@@ -569,16 +577,14 @@ def _canonicalize(num, den):
 
 
 def as_ratfunc(x) -> RatFunc:
-    """Coerce ints, Fractions, and strings to RatFunc."""
+    """Coerce ints, strings and Fractions to RatFunc; a float raises."""
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, int):
         return RatFunc.from_int(x)
-    if isinstance(x, Fraction):
-        return RatFunc.from_fraction(x)
     if isinstance(x, str):
         return RatFunc.from_string(x)
-    raise InvalidArgument(f"cannot coerce {x!r} to a rational function")
+    return RatFunc.from_fraction(x)
 
 
 RF_ZERO = RatFunc(P_ZERO, P_ONE, _canonical=True)

@@ -81,9 +81,6 @@ class PartialInjection:
                 m.set(v - 1, j - 1, RF_ONE)
         return m
 
-    def to_json(self):
-        return {"k": self.k, "mapping": list(self.mapping)}
-
 
 def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """Functional composition a after b; matches 0/1 matrix product."""

@@ -39,7 +39,7 @@ def test_parse_u_list():
 def test_parse_q():
     assert parse_q("symbolic") is None
     assert parse_q("1") == 1
-    assert parse_q(" -3 / 7 ") == Fraction(-3, 7)
+    assert parse_q(" -3 / 7 ") == as_ratfunc(Fraction(-3, 7))
     for spec in ["pi", "q", "q/q", "0.5", "1e3", "1_0", "1/0"]:
         with pytest.raises(InvalidArgument):
             parse_q(spec)
@@ -401,6 +401,7 @@ MALFORMED_VALUES = [
     (["verify", "--family", "aAlg", "--k", "3", "--u", "0,q^-1"], "negative exponent in "),
     (["rep", "--k", "3", "--d", "1", "--u1", "q^-2"], "negative exponent in "),
     (["verify", "--family", "aAlg", "--k", "3", "--u", "1 2,3"], "cannot parse '1 2'"),
+    (["verify", "--family", "aAlg", "--k", "3", "--u", "q^x,3"], "cannot parse 'q^x': unexpected 'x'"),
     (["verify", "--family", "rook", "--k", "2", "--q", "1_0"], "cannot parse '1_0'"),
     (["schurweyl", "--m", "1_1", "--k", "1", "--u", "0"], "bad graded dimensions "),
     (["schurweyl", "--m", "\u0661", "--k", "1", "--u", "0"], "bad graded dimensions "),
@@ -424,6 +425,25 @@ def test_malformed_value_exits_2_and_names_the_fault(capsys, argv, message):
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: " + message)
     assert captured.err.count("\n") == 1
+
+
+# the whole of stderr: a pole at a non-integer q names the point as the
+# rational n/b, and a --u value with more digits than int() reads names
+# the part it could not read
+EXACT_ERRORS = {
+    "pole-at-1/2": (["--u", "1,4", "--q", "1/2"], "denominator vanishes at q=1/2"),
+    "u-5000-digits": (["--u", "1" * 5000 + ",3"], f"integer too long in {'1' * 5000!r}"),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_ERRORS)
+def test_verify_error_is_printed_exactly(capsys, case):
+    options, message = EXACT_ERRORS[case]
+    if case == "u-5000-digits" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("int() has no digit limit before Python 3.10.7")
+    code = main(["verify", "--family", "aAlg", "--k", "3", *options])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -482,13 +502,16 @@ def _main_alone(argv):
 
 
 def test_cli_starts_without_dataclasses_or_inspect():
-    """Importing the CLI and building its parser loads neither module;
-    together they were about half of qrook's import time.  A fresh
-    interpreter, since pytest itself imports both."""
+    """Importing the CLI and building its parser loads none of these
+    modules: dataclasses and inspect were about half of qrook's import
+    time, and a rational is a constant RatFunc, so fractions (with the
+    decimal and numbers it imports) is not needed either.  A fresh
+    interpreter, since pytest itself imports them."""
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import qrook.cli; "
         "qrook.cli.build_parser(); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", script, SRC], capture_output=True, text=True, timeout=60

@@ -190,8 +190,11 @@ def test_negative_control_every_family(family):
 
 
 def _at(v, q0):
-    """v(q0) specialised on its own, not through the memo verify uses."""
-    return RatFunc.from_fraction(v.specialize(q0))
+    """v(q0) evaluated on its own in Fractions, not through the memo
+    verify uses."""
+    q0 = Fraction(q0)
+    value = lambda a: sum(c * q0**i for i, c in enumerate(a))
+    return RatFunc.from_fraction(value(v.num) / value(v.den))
 
 
 def _residual_oracle(assignment, rels, q0):
